@@ -77,62 +77,81 @@ const (
 	ScrambledInit
 )
 
-// initCell returns the initial pressure at global (i,j,k).
-func initCell(mode InitMode, s Size, i, j, k int) float32 {
+// initPlane fills dst, one J×K plane, with the initial pressure of global
+// plane i. The official profile depends on i alone; ScrambledInit adds its
+// per-(i,j,k) hash term on top.
+func initPlane(mode InitMode, s Size, i int, dst []float32) {
 	x := float32(i) / float32(s.I-1)
-	v := x * x
-	if mode == ScrambledInit {
-		// Cheap deterministic hash → [0, 0.25) perturbation.
-		h := uint32(i*73856093) ^ uint32(j*19349663) ^ uint32(k*83492791)
-		v += float32(h%1024) / 4096
+	v := float32(x * x)
+	if mode != ScrambledInit {
+		for n := range dst {
+			dst[n] = v
+		}
+		return
 	}
-	return v
+	hi := uint32(i * 73856093)
+	for j := 0; j < s.J; j++ {
+		hij := hi ^ uint32(j*19349663)
+		row := dst[j*s.K : (j+1)*s.K]
+		for k := range row {
+			// Cheap deterministic hash → [0, 0.25) perturbation.
+			h := hij ^ uint32(k*83492791)
+			row[k] = v + float32(h%1024)/4096
+		}
+	}
 }
 
-// stencilCell computes the benchmark's update for one interior cell of p
-// (dimensions J×K per plane) and returns the new value and the squared
-// residual contribution. Every implementation — the host reference and all
-// device kernels — funnels through this function, which is what makes
-// bitwise agreement between them a meaningful test.
-func stencilCell(p []float32, J, K, i, j, k int) (float32, float64) {
-	at := func(i, j, k int) float32 { return p[(i*J+j)*K+k] }
-	// Official constant coefficients: a0..a2 = 1, a3 = 1/6, b = 0, c = 1,
-	// wrk1 = 0, bnd = 1.
-	s0 := at(i+1, j, k) + at(i, j+1, k) + at(i, j, k+1) +
-		at(i-1, j, k) + at(i, j-1, k) + at(i, j, k-1)
-	ss := s0*float32(1.0/6.0) - at(i, j, k)
-	nv := at(i, j, k) + Omega*ss
-	return nv, float64(ss) * float64(ss)
+// stencilPlanes applies the benchmark's update to the interior cells of
+// planes [liFrom, liTo) of src (J×K cells per plane), writes the new values
+// to dst and returns the sum of the squared residuals, accumulated in
+// (plane, j, k) order. Every implementation — Reference and the device
+// kernels jacobiKernel builds — funnels through stencilPlanes, which is what
+// makes bitwise agreement between them a meaningful test.
+//
+// The explicit float32/float64 conversions round each product on its own,
+// so no architecture may fuse it into an FMA and change the result.
+func stencilPlanes(src, dst []float32, J, K, liFrom, liTo int) float64 {
+	plane, n := J*K, K-2
+	var gosa float64
+	for i := liFrom; i < liTo; i++ {
+		for j := 1; j < J-1; j++ {
+			// Row slices start at k = 1, so index k below is cell k+1 of
+			// the row; reslicing each to n lets the loop run unchecked.
+			c := i*plane + j*K + 1
+			row := src[c:][:n]
+			east := src[c+1:][:n]   // k+1
+			west := src[c-1:][:n]   // k-1
+			up := src[c+plane:][:n] // i+1
+			dn := src[c-plane:][:n] // i-1
+			north := src[c+K:][:n]  // j+1
+			south := src[c-K:][:n]  // j-1
+			out := dst[c:][:n]
+			for k, v := range row {
+				// Official constant coefficients: a0..a2 = 1, a3 = 1/6,
+				// b = 0, c = 1, wrk1 = 0, bnd = 1.
+				s0 := up[k] + north[k] + east[k] + dn[k] + south[k] + west[k]
+				ss := float32(s0*float32(1.0/6.0)) - v
+				out[k] = v + float32(Omega*ss)
+				gosa += float64(float64(ss) * float64(ss))
+			}
+		}
+	}
+	return gosa
 }
 
 // Reference runs the solver on the host only and returns the final grid and
 // the residual (gosa) of the last iteration. It is the ground truth the
 // distributed implementations are verified against.
 func Reference(s Size, iters int, mode InitMode) ([]float32, float64) {
-	n := s.I * s.J * s.K
-	p := make([]float32, n)
-	wrk := make([]float32, n)
+	plane := s.J * s.K
+	p := make([]float32, s.I*plane)
 	for i := 0; i < s.I; i++ {
-		for j := 0; j < s.J; j++ {
-			for k := 0; k < s.K; k++ {
-				v := initCell(mode, s, i, j, k)
-				p[idx(s.J, s.K, i, j, k)] = v
-				wrk[idx(s.J, s.K, i, j, k)] = v
-			}
-		}
+		initPlane(mode, s, i, p[i*plane:(i+1)*plane])
 	}
+	wrk := append([]float32(nil), p...)
 	var gosa float64
 	for it := 0; it < iters; it++ {
-		gosa = 0
-		for i := 1; i < s.I-1; i++ {
-			for j := 1; j < s.J-1; j++ {
-				for k := 1; k < s.K-1; k++ {
-					nv, ss := stencilCell(p, s.J, s.K, i, j, k)
-					wrk[idx(s.J, s.K, i, j, k)] = nv
-					gosa += ss
-				}
-			}
-		}
+		gosa = stencilPlanes(p, wrk, s.J, s.K, 1, s.I-1)
 		p, wrk = wrk, p
 	}
 	return p, gosa

@@ -136,13 +136,6 @@ func decompose(s Size, n, r int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // newRank builds the local state for rank r of n.
 func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt *clmpi.Runtime) (*rank, error) {
 	lo, hi := decompose(s, n, ep.Rank())
@@ -155,22 +148,16 @@ func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt
 		size: s, mode: mode, ep: ep, ctx: ctx, rt: rt,
 		lo: lo, hi: hi, own: own, half: own / 2,
 	}
-	local := (own + 2) * s.J * s.K
-	rk.p = make([]float32, local)
-	rk.wrk = make([]float32, local)
+	plane := s.J * s.K
+	rk.p = make([]float32, (own+2)*plane)
 	for li := 0; li < own+2; li++ {
 		gi := lo - 1 + li
 		if gi < 0 || gi >= s.I {
 			continue // beyond the global domain (edge ranks)
 		}
-		for j := 0; j < s.J; j++ {
-			for k := 0; k < s.K; k++ {
-				v := initCell(mode, s, gi, j, k)
-				rk.p[idx(s.J, s.K, li, j, k)] = v
-				rk.wrk[idx(s.J, s.K, li, j, k)] = v
-			}
-		}
+		initPlane(mode, s, gi, rk.p[li*plane:(li+1)*plane])
 	}
+	rk.wrk = append([]float32(nil), rk.p...)
 	pb := s.planeBytes()
 	var err error
 	if rk.sendLo, err = ctx.CreateBuffer("sendLo", pb); err != nil {
@@ -213,17 +200,7 @@ func (rk *rank) jacobiKernel(name string, src, dst []float32, liFrom, liTo int) 
 			return FLOPsPerCell * float64(liTo-liFrom) * float64(s.J-2) * float64(s.K-2)
 		},
 		Work: func([]any) error {
-			var gosa float64
-			for li := liFrom; li < liTo; li++ {
-				for j := 1; j < s.J-1; j++ {
-					for k := 1; k < s.K-1; k++ {
-						nv, ss := stencilCell(src, s.J, s.K, li, j, k)
-						dst[idx(s.J, s.K, li, j, k)] = nv
-						gosa += ss
-					}
-				}
-			}
-			rk.gosa += gosa
+			rk.gosa += stencilPlanes(src, dst, s.J, s.K, liFrom, liTo)
 			return nil
 		},
 	}

@@ -189,13 +189,10 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Verify {
 		res.Grid = make([]float32, cfg.Size.I*cfg.Size.J*cfg.Size.K)
 		// Boundary planes are never updated; take them from the initial
-		// field, then overlay each rank's owned interior.
-		for i := 0; i < cfg.Size.I; i++ {
-			for j := 0; j < cfg.Size.J; j++ {
-				for k := 0; k < cfg.Size.K; k++ {
-					res.Grid[idx(cfg.Size.J, cfg.Size.K, i, j, k)] = initCell(cfg.Mode, cfg.Size, i, j, k)
-				}
-			}
+		// field. Each rank's owned planes cover the interior.
+		plane := cfg.Size.J * cfg.Size.K
+		for _, i := range []int{0, cfg.Size.I - 1} {
+			initPlane(cfg.Mode, cfg.Size, i, res.Grid[i*plane:(i+1)*plane])
 		}
 		for _, rk := range ranks {
 			rk.gatherInterior(res.Grid)

@@ -85,12 +85,13 @@ type cellState struct {
 // distributed (per-cell populations).
 type model struct {
 	p     Params
+	pairs *pairTable
 	temp  []float64 // cell temperature, evolved serially by the master
 	state []cellState
 }
 
-func newModel(p Params) *model {
-	m := &model{p: p, temp: make([]float64, p.Cells), state: make([]cellState, p.Cells)}
+func newModel(p Params, pairs *pairTable) *model {
+	m := &model{p: p, pairs: pairs, temp: make([]float64, p.Cells), state: make([]cellState, p.Cells)}
 	for c := 0; c < p.Cells; c++ {
 		// Hot core, cooler edges.
 		x := float64(c)/float64(p.Cells-1) - 0.5
@@ -103,6 +104,38 @@ func newModel(p Params) *model {
 		m.state[c] = cellState{n: n}
 	}
 	return m
+}
+
+// pairTable holds the temperature-independent factors of the coefficient
+// tables, row-major over bin pairs (i, j) of sizes si = i+1 and sj = j+1.
+// A run builds it once; every rank then reads it without copying.
+type pairTable struct {
+	sum  []float64 // ∛si + ∛sj
+	root []float64 // √(1/si + 1/sj)
+	den  []float64 // 1 + 0.01·|si − sj|
+}
+
+func newPairTable(bins int) *pairTable {
+	t := &pairTable{
+		sum:  make([]float64, bins*bins),
+		root: make([]float64, bins*bins),
+		den:  make([]float64, bins*bins),
+	}
+	cbrt := make([]float64, bins)
+	for i := range cbrt {
+		cbrt[i] = math.Cbrt(float64(i + 1))
+	}
+	for i := 0; i < bins; i++ {
+		si := float64(i + 1)
+		for j := 0; j < bins; j++ {
+			sj := float64(j + 1)
+			x := i*bins + j
+			t.sum[x] = cbrt[i] + cbrt[j]
+			t.root[x] = math.Sqrt(1/si + 1/sj)
+			t.den[x] = 1 + float64(0.01*math.Abs(si-sj))
+		}
+	}
+	return t
 }
 
 // advanceScalars is the serial phase: cool the plasma and report the
@@ -119,25 +152,21 @@ func (m *model) advanceScalars(step int) []float64 {
 
 // buildCoeffs computes one cell's coefficient tables for the current
 // temperature and serializes them to wire format (little-endian float64,
-// K table then E table).
+// K table then E table). Only kern0 and eff0 depend on the temperature; the
+// rest comes from the pair table. Products are evaluated left to right, as
+// K = kern0·sum·sum·root, and the explicit conversion on eff0 keeps any
+// architecture from fusing it into an FMA.
 func (m *model) buildCoeffs(c int, out []byte) {
-	p := m.p
 	t := m.temp[c]
 	kern0 := 1e-3 * math.Sqrt(t/3000)
-	eff0 := 0.6 + 0.4*math.Exp(-t/3000)
-	b := p.Bins
-	for i := 0; i < b; i++ {
-		si := float64(i + 1)
-		ri := math.Cbrt(si)
-		for j := 0; j < b; j++ {
-			sj := float64(j + 1)
-			rj := math.Cbrt(sj)
-			sum := ri + rj
-			k := kern0 * sum * sum * math.Sqrt(1/si+1/sj)
-			e := eff0 / (1 + 0.01*math.Abs(si-sj))
-			binary.LittleEndian.PutUint64(out[(i*b+j)*8:], math.Float64bits(k))
-			binary.LittleEndian.PutUint64(out[(b*b+i*b+j)*8:], math.Float64bits(e))
-		}
+	eff0 := 0.6 + float64(0.4*math.Exp(-t/3000))
+	pt := m.pairs
+	n := len(pt.sum)
+	root, den := pt.root[:n], pt.den[:n]
+	kOut, eOut := out[:n*8], out[n*8:2*n*8]
+	for x, sum := range pt.sum {
+		binary.LittleEndian.PutUint64(kOut[x*8:], math.Float64bits(kern0*sum*sum*root[x]))
+		binary.LittleEndian.PutUint64(eOut[x*8:], math.Float64bits(eff0/den[x]))
 	}
 }
 
@@ -150,8 +179,9 @@ func (m *model) buildCoeffs(c int, out []byte) {
 //
 // Pairs that exceed the top bin fold into it scaled by the size ratio, so
 // total mass Σ (k+1)·n(k) is conserved exactly up to rounding — the
-// invariant the tests check. This function is the single numerical kernel
-// shared by the reference and both distributed implementations.
+// invariant the tests check. The reference and both distributed
+// implementations share this function and buildCoeffs, the model's only
+// numerical kernels.
 func coagulateCell(p Params, n []float64, coeffs []byte, source float64) {
 	b := p.Bins
 	ke := func(i, j int) float64 {
@@ -204,7 +234,7 @@ func mass(n []float64) float64 {
 // final per-cell populations — the ground truth for both distributed
 // implementations.
 func Reference(p Params) [][]float64 {
-	m := newModel(p)
+	m := newModel(p, newPairTable(p.Bins))
 	coeffs := make([]byte, p.cellCoeffBytes())
 	for step := 0; step < p.Steps; step++ {
 		src := m.advanceScalars(step)

@@ -26,7 +26,7 @@ func TestCoeffVolumeMatchesPaper(t *testing.T) {
 
 func TestReferenceMassAccounting(t *testing.T) {
 	p := testParams()
-	m := newModel(p)
+	m := newModel(p, newPairTable(p.Bins))
 	coeffs := make([]byte, p.cellCoeffBytes())
 	var before, after, injected float64
 	for c := 0; c < p.Cells; c++ {
@@ -49,7 +49,7 @@ func TestReferenceMassAccounting(t *testing.T) {
 
 func TestCoagulationShiftsMassUpward(t *testing.T) {
 	p := testParams()
-	m := newModel(p)
+	m := newModel(p, newPairTable(p.Bins))
 	coeffs := make([]byte, p.cellCoeffBytes())
 	m.buildCoeffs(0, coeffs)
 	n := m.state[0].n

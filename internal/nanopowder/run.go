@@ -75,6 +75,7 @@ func Run(cfg Config) (*Result, error) {
 	fab := clmpi.New(world, clmpi.Options{})
 	cpn := p.Cells / cfg.Nodes // cells per node
 	cellB := p.cellCoeffBytes()
+	pairs := newPairTable(p.Bins)
 
 	res := &Result{MassPerStep: make([]float64, p.Steps)}
 	if cfg.Verify {
@@ -95,7 +96,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// Every rank owns cells [me*cpn, (me+1)*cpn). The master keeps
 		// the scalar fields and all coefficient construction.
-		m := newModel(p)
+		m := newModel(p, pairs)
 		myCells := make([][]float64, cpn)
 		for i := range myCells {
 			myCells[i] = m.state[me*cpn+i].n
