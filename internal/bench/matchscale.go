@@ -186,7 +186,7 @@ func matchWorkloadPart(sys cluster.System, ranks, outstanding, wildPct, rounds, 
 // dense wildcard exchange at one rank count, on the serial engine or — for
 // parts > 1 — on a parts-way partitioned engine driven by `workers` host
 // workers. This is the unit the serve daemon shards; callers running a
-// whole rank grid want MatchScale or MatchScalePartitioned.
+// whole rank grid want MatchScalePartitionedObs.
 func MatchScalePoint(sys cluster.System, ranks, outstanding, wildPct, rounds, parts, workers int) (MatchPoint, error) {
 	return MatchScalePointObs(sys, ranks, outstanding, wildPct, rounds, parts, workers, nil)
 }
@@ -202,28 +202,19 @@ func MatchScalePointObs(sys cluster.System, ranks, outstanding, wildPct, rounds,
 	return matchWorkload(sys, ranks, outstanding, wildPct, rounds)
 }
 
-// MatchScale runs the dense wildcard exchange at each rank count.
-func MatchScale(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds int) ([]MatchPoint, error) {
-	return sweep.Map(len(rankCounts), func(i int) (MatchPoint, error) {
-		return matchWorkload(sys, rankCounts[i], outstanding, wildPct, rounds)
-	})
-}
-
-// MatchScalePartitioned runs the dense wildcard exchange at each rank count
-// on a `parts`-way partitioned engine driven by `workers` host cores per
-// point. Every point claims `workers` sweep slots, so a host-parallel sweep
-// of host-parallel runs still respects the configured pool width. parts <= 1
-// is MatchScale — the serial engine, one slot per point.
-func MatchScalePartitioned(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds, parts, workers int) ([]MatchPoint, error) {
-	return MatchScalePartitionedObs(sys, rankCounts, outstanding, wildPct, rounds, parts, workers, nil)
-}
-
-// MatchScalePartitionedObs is MatchScalePartitioned with a host-time
-// observability aggregator threaded into every partitioned point (nil = no
-// observability; serial points never attach one).
+// MatchScalePartitionedObs runs the dense wildcard exchange at each rank
+// count. parts <= 1 runs every point on the serial engine, one sweep slot
+// each. Otherwise each point runs on a `parts`-way partitioned engine driven
+// by `workers` host cores (workers <= 0 means one per part) and claims
+// `workers` sweep slots, so a host-parallel sweep of host-parallel runs
+// still respects the configured pool width. sm, when non-nil, is the
+// host-time observability aggregator threaded into every partitioned point;
+// serial points never attach one.
 func MatchScalePartitionedObs(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds, parts, workers int, sm *obs.Sim) ([]MatchPoint, error) {
 	if parts <= 1 {
-		return MatchScale(sys, rankCounts, outstanding, wildPct, rounds)
+		return sweep.Map(len(rankCounts), func(i int) (MatchPoint, error) {
+			return matchWorkload(sys, rankCounts[i], outstanding, wildPct, rounds)
+		})
 	}
 	if workers <= 0 {
 		workers = parts

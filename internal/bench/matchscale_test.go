@@ -12,7 +12,7 @@ func TestMatchScaleDeterministicAcrossWorkers(t *testing.T) {
 		old := sweep.Workers()
 		sweep.SetWorkers(workers)
 		defer sweep.SetWorkers(old)
-		pts, err := MatchScale(cluster.RICC(), []int{16, 64}, 8, 25, 2)
+		pts, err := MatchScalePartitionedObs(cluster.RICC(), []int{16, 64}, 8, 25, 2, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestMatchScaleDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestMatchScaleClampsOutstanding(t *testing.T) {
-	pts, err := MatchScale(cluster.RICC(), []int{4}, 64, 0, 1)
+	pts, err := MatchScalePartitionedObs(cluster.RICC(), []int{4}, 64, 0, 1, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,21 +11,14 @@ import (
 //
 // A partitioned run splits the world's nodes into contiguous per-shard
 // ranges. The asynchronous conservative protocol (internal/sim/partition.go)
-// needs, for every ordered shard pair (from, to), a lower bound L[from][to]
-// on how far beyond shard from's clock any cross event it emits toward shard
-// to can land. The bound comes straight from the modelled hardware:
-//
-//   - shards whose node ranges live on disjoint nodes interact only across
-//     the fabric, so no effect propagates faster than the NIC wire latency;
-//   - shards that share a node (a partition boundary cutting through a
-//     multi-rank node) can interact through the PCIe/DMA path, bounded by
-//     the GPU DMA descriptor latency when that is shorter than the wire;
-//   - a pair with no communication channel at all (an empty shard, or the
-//     diagonal) is unconstrained: L is +inf and never throttles anyone.
-//
-// Larger entries let the receiving shard run further ahead before stalling,
-// so the derivation takes the largest bound the topology can justify, never
-// a global minimum across all pairs.
+// needs, for every ordered shard pair (from, to), a positive lower bound
+// L[from][to] on how far beyond shard from's clock any cross event it emits
+// toward shard to can land. The bound comes straight from the modelled
+// hardware: the balanced split puts every shard on its own non-empty set of
+// nodes, so shards interact only across the fabric and no effect propagates
+// faster than the NIC wire latency — which spec validation requires to be
+// positive. The diagonal has no channel: L is +inf and never throttles
+// anyone.
 
 // InfLookahead marks a shard pair with no communication channel: the pair
 // imposes no synchronization constraint at all.
@@ -39,7 +32,8 @@ func PartRange(n, parts, i int) (lo, hi int) {
 }
 
 // LookaheadMatrix derives the conservative lookahead matrix for an n-node
-// world split into `parts` balanced contiguous shards on sys.
+// world split into `parts` balanced contiguous shards on sys: the wire
+// latency off the diagonal, InfLookahead on it.
 func LookaheadMatrix(sys System, n, parts int) [][]time.Duration {
 	if parts < 1 {
 		panic("cluster: lookahead matrix needs at least one partition")
@@ -47,47 +41,14 @@ func LookaheadMatrix(sys System, n, parts int) [][]time.Duration {
 	if n < parts {
 		panic(fmt.Sprintf("cluster: %d nodes cannot span %d partitions", n, parts))
 	}
-	ranges := make([][2]int, parts)
-	for i := range ranges {
-		ranges[i][0], ranges[i][1] = PartRange(n, parts, i)
-	}
-	return LookaheadMatrixRanges(sys, ranges)
-}
-
-// LookaheadMatrixRanges derives the lookahead matrix for an explicit set of
-// per-shard [lo, hi) node ranges: wire latency for disjoint ranges, the DMA
-// path (when faster) for overlapping ones, InfLookahead for pairs that
-// cannot communicate. The general form exists so future topologies — and the
-// conservatism property tests — can express boundaries that cut through a
-// node; the balanced split of LookaheadMatrix never produces one today.
-func LookaheadMatrixRanges(sys System, ranges [][2]int) [][]time.Duration {
-	k := len(ranges)
-	cells := make([]time.Duration, k*k)
-	la := make([][]time.Duration, k)
-	for i := range la {
-		la[i] = cells[i*k : (i+1)*k : (i+1)*k]
-	}
-	for from := 0; from < k; from++ {
-		f := ranges[from]
-		for to := 0; to < k; to++ {
-			la[from][to] = InfLookahead
-			if from == to {
-				continue
-			}
-			t := ranges[to]
-			if f[0] >= f[1] || t[0] >= t[1] {
-				continue // an empty shard emits nothing
-			}
-			d := sys.NIC.WireLatency
-			if f[1] > t[0] && t[1] > f[0] {
-				// The ranges share a node: the intra-node PCIe/DMA hop can
-				// carry an effect across the boundary faster than the wire.
-				if dma := sys.GPU.DMALatency; dma < d {
-					d = dma
-				}
-			}
-			la[from][to] = d
+	cells := make([]time.Duration, parts*parts)
+	la := make([][]time.Duration, parts)
+	for from := range la {
+		la[from] = cells[from*parts : (from+1)*parts : (from+1)*parts]
+		for to := range la[from] {
+			la[from][to] = sys.NIC.WireLatency
 		}
+		la[from][from] = InfLookahead
 	}
 	return la
 }

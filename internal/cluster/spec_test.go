@@ -64,6 +64,16 @@ func TestSpecValidationFailureModes(t *testing.T) {
 			wantErr: "system.nic.bw: must be > 0 bytes/s (got -1e+09)",
 		},
 		{
+			// The partitioned engine's lookahead is the wire latency, and it
+			// rejects a non-positive one; this check is what keeps every
+			// valid spec runnable there.
+			name: "zero wire latency",
+			mutate: func(doc map[string]any) {
+				system(doc)["nic"].(map[string]any)["wire_latency"] = "0s"
+			},
+			wantErr: "system.nic.wire_latency: must be > 0 (got 0s)",
+		},
+		{
 			name: "zero pinned bandwidth",
 			mutate: func(doc map[string]any) {
 				system(doc)["gpu"].(map[string]any)["pcie_bw"].(map[string]any)["pinned"] = 0

@@ -279,9 +279,13 @@ func TestPartitionMatchWorkloadEquivalent(t *testing.T) {
 // streams) and identical end times.
 func TestPartitionPropertyRandomShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	for name, mk := range map[string]func() cluster.System{
-		"cichlid": cluster.Cichlid, "ricc": cluster.RICC,
-	} {
+	// A slice, not a map: the presets draw from one rng, so a random
+	// iteration order would change every subtest's shard geometry and name.
+	for _, preset := range []struct {
+		name string
+		mk   func() cluster.System
+	}{{"cichlid", cluster.Cichlid}, {"ricc", cluster.RICC}} {
+		name, mk := preset.name, preset.mk
 		for trial := 0; trial < 4; trial++ {
 			parts := 1 + rng.Intn(8)
 			n := parts + 2 + rng.Intn(10)

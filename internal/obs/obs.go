@@ -47,9 +47,6 @@ const (
 	// KindAdvert: a shard published a clock advertisement (null message).
 	// Shard = shard, A = published floor (virtual ns).
 	KindAdvert
-	// KindLockstep: the engine fell back to serial lockstep windows
-	// (non-positive lookahead). Emitted once, at Run.
-	KindLockstep
 	// KindFixpoint: the all-stalled quiescence fixpoint ran.
 	// A = shards freed by it (0 = the run ended instead).
 	KindFixpoint
@@ -82,8 +79,6 @@ func (k Kind) String() string {
 		return "stall.end"
 	case KindAdvert:
 		return "advert"
-	case KindLockstep:
-		return "lockstep.fallback"
 	case KindFixpoint:
 		return "fixpoint"
 	case KindDeadlock:
@@ -137,8 +132,6 @@ func (e Event) format() string {
 		return fmt.Sprintf("%s %-7s stall.end     on=ch%d<-%d stalled=%dns", at, who, e.Shard, e.Ch, e.A)
 	case KindAdvert:
 		return fmt.Sprintf("%s %-7s advert        floor=%dns", at, who, e.A)
-	case KindLockstep:
-		return fmt.Sprintf("%s %-7s lockstep.fallback", at, who)
 	case KindFixpoint:
 		return fmt.Sprintf("%s %-7s fixpoint      freed=%d", at, who, e.A)
 	case KindDeadlock:

@@ -143,6 +143,32 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramMinMax: min and max are exact over any observation sequence,
+// including ones that start at or cross zero.
+func TestHistogramMinMax(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		obs      []float64
+		min, max float64
+	}{
+		{"positive", []float64{3, 1, 2}, 1, 3},
+		{"zero then positive", []float64{0, 5}, 0, 5},
+		{"zero then negative", []float64{0, -1}, -1, 0},
+		{"negative only", []float64{-2, -7}, -7, -2},
+		{"single zero", []float64{0}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHistogram([]float64{1, 2, 4})
+			for _, v := range tc.obs {
+				h.Observe(v)
+			}
+			if h.Min() != tc.min || h.Max() != tc.max {
+				t.Fatalf("min/max = %v/%v, want %v/%v", h.Min(), h.Max(), tc.min, tc.max)
+			}
+		})
+	}
+}
+
 func TestHistogramEmptyReadsZero(t *testing.T) {
 	h := NewHistogram(DefaultLatencyBounds)
 	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 {

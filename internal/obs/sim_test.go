@@ -53,7 +53,7 @@ func TestPDESAttribution(t *testing.T) {
 		"ranks [0,4)", "ranks [4,8)",
 		"top stall source",
 		"shard1 (0.000s)", // shard 0's dominant upstream
-		"windows=1 stalls=1 adverts=1 fixpoints=1 fallbacks=0 deadlocks=0",
+		"windows=1 stalls=1 adverts=1 fixpoints=1 deadlocks=0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -132,10 +132,10 @@ func TestRecorderOnlyPDES(t *testing.T) {
 	p.WindowDone(0, 100, 10, 50)
 	p.StallBegin(1, 0, 100, 200, 60)
 	p.StepStart(1, 90)
-	p.Lockstep()
+	p.FixpointRound(1)
 	p.EngineDone(100, 1)
 	if n := len(rec.Snapshot()); n != 4 {
-		t.Fatalf("recorded %d events, want 4 (window, stall pair, lockstep)", n)
+		t.Fatalf("recorded %d events, want 4 (window, stall pair, fixpoint)", n)
 	}
 	if notes := rec.Notes(); len(notes) != 1 || !strings.Contains(notes[0], "ranks [0,2)") {
 		t.Fatalf("label note missing: %v", notes)

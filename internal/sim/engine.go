@@ -38,7 +38,7 @@ type Engine struct {
 	// Windowed mode (see RunWindow): the engine executes events strictly
 	// before limit, then parks itself by signalling idle instead of
 	// completing or declaring deadlock. A PartitionedEngine drives many
-	// windowed engines in lockstep windows.
+	// windowed engines, each up to its own channel horizon.
 	windowed bool
 	limit    Time
 	idle     chan struct{}
@@ -557,8 +557,7 @@ func (e *Engine) deliverCrossBatchLocked(at Time) {
 }
 
 // crossAtNowLocked reports whether an undelivered cross event is due at the
-// current instant — only possible in the serial fallback, where arrivals are
-// clamped to the target's clock.
+// current instant (a same-shard Cross may target it).
 func (e *Engine) crossAtNowLocked() bool {
 	return len(e.xheap) > 0 && e.xheap[0].at <= e.now
 }

@@ -101,9 +101,6 @@ func TestAsyncCounters(t *testing.T) {
 	if pe.Adverts() == 0 {
 		t.Error("no floor advertisements counted")
 	}
-	if pe.Lookahead() != 10*time.Microsecond {
-		t.Errorf("Lookahead() = %v, want the tightest finite channel 10µs", pe.Lookahead())
-	}
 }
 
 // TestCrossNonCommunicatingPanics: emitting over a channel the matrix
@@ -124,27 +121,5 @@ func TestCrossNonCommunicatingPanics(t *testing.T) {
 	msg, ok := recovered.(string)
 	if !ok || !strings.Contains(msg, "non-communicating") {
 		t.Fatalf("recovered %v, want a non-communicating channel panic", recovered)
-	}
-}
-
-// TestMatrixSerialFallback: one non-positive finite entry anywhere voids the
-// independence argument, so the whole engine must drop to the lockstep
-// fallback — which accepts a cross event at the emitting instant.
-func TestMatrixSerialFallback(t *testing.T) {
-	pe := NewPartitionedEngineMatrix([][]time.Duration{
-		{infLA, 0},
-		{10 * time.Microsecond, infLA},
-	})
-	var r recorder
-	pe.Shard(0).Spawn("src", func(p *Proc) {
-		p.Sleep(2 * time.Microsecond)
-		pe.Cross(0, 1, p.Now(), func(tp *Proc) { r.rec(tp.Now(), "cross") })
-	})
-	if err := pe.Run(2); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	want := []string{"2µs cross"}
-	if !reflect.DeepEqual(r.entries, want) {
-		t.Fatalf("events = %v, want %v", r.entries, want)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Window-edge behavior of the conservative partitioned driver: the zero-
-// lookahead serial fallback, deterministic ordering of simultaneous cross-
+// Window-edge behavior of the conservative partitioned driver: rejection of
+// non-positive lookaheads, deterministic ordering of simultaneous cross-
 // partition events, the one-partition degenerate case, the merged deadlock
 // report, and the horizon-violation check.
 
@@ -24,45 +24,36 @@ func (r *recorder) rec(at Time, label string) {
 	r.entries = append(r.entries, time.Duration(at).String()+" "+label)
 }
 
-// TestZeroLookaheadSerialFallback: with lookahead zero the independence
-// argument is void, so the driver must run one event instant per window with
-// shards in index order — and cross events landing at the current instant
-// (below any positive horizon) must be legal and delivered.
-func TestZeroLookaheadSerialFallback(t *testing.T) {
-	pe := NewPartitionedEngine(2, 0)
-	var r recorder
-	done := NewTrigger(pe.Shard(1), "cross-done")
-	pe.Shard(0).Spawn("s0", func(p *Proc) {
-		p.Sleep(3 * time.Microsecond)
-		r.rec(p.Now(), "s0")
-		p.Sleep(2 * time.Microsecond)
-		// A cross event at the emitting instant: with a positive lookahead
-		// this would violate the horizon; the fallback must accept it.
-		pe.Cross(0, 1, p.Now(), func(tp *Proc) {
-			r.rec(tp.Now(), "cross")
-			done.Fire(nil)
+// uniformEngine builds a parts-way engine with the same lookahead on every
+// channel.
+func uniformEngine(parts int, lookahead time.Duration) *PartitionedEngine {
+	la := make([][]time.Duration, parts)
+	for i := range la {
+		la[i] = make([]time.Duration, parts)
+		for j := range la[i] {
+			la[i][j] = lookahead
+		}
+	}
+	return NewPartitionedEngineMatrix(la)
+}
+
+// TestNonPositiveLookaheadPanics: a zero or negative finite lookahead voids
+// the conservative independence argument, so construction must fail loudly
+// and name the offending channel.
+func TestNonPositiveLookaheadPanics(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Microsecond} {
+		t.Run(d.String(), func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "channel 0->1 is not positive") {
+					t.Fatalf("recovered %q, want a non-positive lookahead panic naming channel 0->1", msg)
+				}
+			}()
+			NewPartitionedEngineMatrix([][]time.Duration{
+				{infLA, d},
+				{10 * time.Microsecond, infLA},
+			})
 		})
-	})
-	pe.Shard(1).Spawn("s1", func(p *Proc) {
-		p.Sleep(3 * time.Microsecond)
-		r.rec(p.Now(), "s1")
-		done.Wait(p)
-		r.rec(p.Now(), "s1-done")
-	})
-	// The worker count must be forced down to one: a large value here must
-	// not introduce parallelism (the shared recorder would race under -race).
-	if err := pe.Run(8); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	want := []string{"3µs s0", "3µs s1", "5µs cross", "5µs s1-done"}
-	if !reflect.DeepEqual(r.entries, want) {
-		t.Fatalf("event order = %v, want %v", r.entries, want)
-	}
-	if got := pe.Now(); got != Time(5*time.Microsecond) {
-		t.Fatalf("end time = %v, want 5µs", time.Duration(got))
-	}
-	if pe.Windows() == 0 {
-		t.Fatal("no windows driven")
 	}
 }
 
@@ -70,7 +61,7 @@ func TestZeroLookaheadSerialFallback(t *testing.T) {
 // must execute in (time, source shard, source sequence) order regardless of
 // emission order — the total order the drain step sorts by.
 func TestCrossTieBreakDeterministic(t *testing.T) {
-	pe := NewPartitionedEngine(3, 10*time.Microsecond)
+	pe := uniformEngine(3, 10*time.Microsecond)
 	var r recorder
 	at := Time(20 * time.Microsecond)
 	mk := func(label string) func(p *Proc) {
@@ -125,7 +116,7 @@ func TestOnePartitionMatchesSerial(t *testing.T) {
 	}
 
 	var partRec recorder
-	pe := NewPartitionedEngine(1, 30*time.Microsecond)
+	pe := uniformEngine(1, 30*time.Microsecond)
 	workloadAB(pe.Shard(0), &partRec)
 	if err := pe.Run(4); err != nil {
 		t.Fatalf("partitioned run: %v", err)
@@ -144,7 +135,7 @@ func TestOnePartitionMatchesSerial(t *testing.T) {
 // must report one DeadlockError merging every shard's parked processes,
 // sorted like a serial report.
 func TestPartitionedDeadlockMerged(t *testing.T) {
-	pe := NewPartitionedEngine(2, 10*time.Microsecond)
+	pe := uniformEngine(2, 10*time.Microsecond)
 	never0 := NewTrigger(pe.Shard(0), "never0")
 	never1 := NewTrigger(pe.Shard(1), "never1")
 	pe.Shard(0).Spawn("p0", func(p *Proc) { never0.Wait(p) })
@@ -174,7 +165,7 @@ func TestPartitionedDeadlockMerged(t *testing.T) {
 // inside the current window would break the conservative protocol, so the
 // driver must refuse it loudly.
 func TestCrossHorizonViolation(t *testing.T) {
-	pe := NewPartitionedEngine(2, 10*time.Microsecond)
+	pe := uniformEngine(2, 10*time.Microsecond)
 	var recovered any
 	pe.Shard(0).Spawn("violator", func(p *Proc) {
 		defer func() { recovered = recover() }()
