@@ -126,23 +126,7 @@ func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
 		msg.payload = bytepool.Get(len(buf))
 		copy(msg.payload, buf)
 		msg.arrived.Init(w.eng, "eager-msg")
-		if ps := w.part; ps != nil && ps.parts() > 1 {
-			// Partitioned runs route intra-shard eager transfers through the
-			// source node's resident NIC daemon: the same wire charges and
-			// completion order as the transient process below, without a
-			// goroutine + channel + formatted name per message.
-			ps.enqueueTx(ep.rank, txJob{kind: txEagerLocal, msg: msg})
-			break
-		}
-		w.eng.SpawnLazy(func() string { return fmt.Sprintf("eager %d->%d", msg.src, msg.dst) },
-			func(tp *sim.Proc) {
-				ep.wireTransfer(tp, dest, int64(msg.size))
-				w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-					Seq: msg.seq, Bytes: msg.size, Eager: true, At: tp.Now()})
-				// The NIC has the data: the sender's buffer is free.
-				msg.req.complete(Status{}, nil)
-				msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
-			})
+		w.startWire(msg, nil)
 	default:
 		msg.sendBuf = buf // rendezvous: transfer happens at match time
 	}

@@ -12,9 +12,12 @@ import (
 
 // Partitioned worlds: one MPI job split across the shards of a
 // sim.PartitionedEngine. Each shard owns a contiguous rank range and models
-// only its own nodes (cluster.NewPartial); intra-shard traffic takes the
-// ordinary serial code paths, while messages whose destination lives on
-// another shard flow through the cross-partition transport below.
+// only its own nodes (cluster.NewPartial). Intra-shard traffic takes the
+// serial engine's code paths unchanged — every eager transfer and
+// rendezvous data phase is the same stackless wireXfer task (transfer.go)
+// — while messages whose destination lives on another shard flow through
+// the cross-partition transport below, run by resident per-node NIC
+// daemons (nic.txN, nic.rxN).
 //
 // The cross protocol mirrors the serial one phase for phase:
 //
@@ -33,13 +36,14 @@ import (
 // (cluster.LookaheadMatrix never exceeds the wire latency), so each shard's
 // per-channel horizon admits every event before it can matter.
 //
-// Divergences from the serial model, by construction: the sender's tx and the
-// receiver's rx occupancy are charged one latency apart instead of
-// concurrently (cut-through across shards would need shared clocks), the
-// destination's matcher-queue depths are unknown at the source (SendPosted
-// events report zero depths), and cross traffic is restricted to
-// MPI_COMM_WORLD. The parallel-vs-serial equivalence guarantee is unaffected:
-// both executions of a partitioned world run this same transport.
+// Divergences of the cross legs from the serial model, by construction: the
+// sender's tx and the receiver's rx occupancy are charged one latency apart
+// instead of concurrently (store and forward; cut-through across shards
+// would need shared clocks), the destination's matcher-queue depths are
+// unknown at the source (SendPosted events report zero depths), and cross
+// traffic is restricted to MPI_COMM_WORLD. The parallel-vs-serial
+// equivalence guarantee is unaffected: both executions of a partitioned
+// world run this same transport.
 
 // PartWorld is a partitioned MPI job: K shard worlds over one
 // sim.PartitionedEngine, presenting the same surface as a serial World where
@@ -164,17 +168,18 @@ func (pw *PartWorld) SetMsgObserver(mk func(shard int) MsgObserver) {
 }
 
 // partShard is one shard's view of the partitioned job: its rank range, its
-// world, the resident per-node NIC daemons, and the bookkeeping for in-flight
-// cross-partition rendezvous.
+// world, the resident per-node NIC daemons of the cross transport, and the
+// bookkeeping for in-flight cross-partition rendezvous.
 type partShard struct {
 	pw     *PartWorld
 	idx    int
 	lo, hi int
 	w      *World
 
-	// Per local node (indexed rank-lo): transmit/receive work queues, each
-	// drained by one resident daemon spawned on first use, and a cache of
-	// endpoint handles so hot paths do not re-allocate them.
+	// Per local node (indexed rank-lo): cross-transport transmit/receive
+	// work queues, each drained by one resident daemon spawned on first
+	// use, and a cache of endpoint handles so hot paths do not re-allocate
+	// them.
 	txq []*sim.Queue[txJob]
 	rxq []*sim.Queue[rxJob]
 	eps []*Endpoint
@@ -192,11 +197,6 @@ func (ps *partShard) local(rank int) bool { return rank >= ps.lo && rank < ps.hi
 // parts reports the partition count.
 func (ps *partShard) parts() int { return len(ps.pw.shards) }
 
-// multi reports whether more than one partition exists — the gate for every
-// behavioural divergence from the serial code paths, so a 1-partition world
-// is bit-for-bit the serial engine.
-func (ps *partShard) multi() bool { return len(ps.pw.shards) > 1 }
-
 // endpoint returns the cached handle for a local rank.
 func (ps *partShard) endpoint(rank int) *Endpoint {
 	i := rank - ps.lo
@@ -206,18 +206,17 @@ func (ps *partShard) endpoint(rank int) *Endpoint {
 	return ps.eps[i]
 }
 
-// txJob is one unit of work for a node's transmit daemon.
+// txJob is one unit of work for a node's transmit daemon: a leg of a
+// cross-partition send.
 type txJob struct {
 	kind uint8
-	msg  *message // txEagerLocal: the intra-shard eager message
-	x    *xsend   // cross kinds: the pending cross send
+	x    *xsend // the pending cross send
 }
 
 const (
-	txEagerLocal uint8 = iota // intra-shard eager wire transfer
-	txXEager                  // cross eager: payload already captured
-	txRTS                     // cross rendezvous request-to-send (header)
-	txData                    // cross rendezvous data phase (CTS granted)
+	txXEager uint8 = iota // cross eager: payload already captured
+	txRTS                 // cross rendezvous request-to-send (header)
+	txData                // cross rendezvous data phase (CTS granted)
 )
 
 // rxJob is one arriving cross-partition transmission, charged against the
@@ -310,8 +309,7 @@ func (ps *partShard) enqueueTx(rank int, job txJob) {
 		name := fmt.Sprintf("nic.tx%d", rank)
 		q = sim.NewQueue[txJob](ps.w.eng, name)
 		ps.txq[i] = q
-		ep := ps.endpoint(rank)
-		ps.w.eng.SpawnDaemon(name, func(p *sim.Proc) { ps.txLoop(p, ep, q) })
+		ps.w.eng.SpawnDaemon(name, func(p *sim.Proc) { ps.txLoop(p, q) })
 	}
 	q.Put(job)
 }
@@ -330,18 +328,17 @@ func (ps *partShard) enqueueRx(rank int, job rxJob) {
 	q.Put(job)
 }
 
-// txLoop drains one node's transmit queue. Jobs serialize on the node's
-// transmit path in post order, exactly as the per-message transient
-// processes of the serial engine serialize on the tx link FIFO.
-func (ps *partShard) txLoop(p *sim.Proc, ep *Endpoint, q *sim.Queue[txJob]) {
+// txLoop drains one node's transmit queue of cross-partition legs. Jobs
+// serialize on the node's transmit path in post order; the path's link FIFO
+// interleaves them with the node's intra-shard transfers (wireXfer tasks),
+// which do not pass through this queue.
+func (ps *partShard) txLoop(p *sim.Proc, q *sim.Queue[txJob]) {
 	for {
 		job, ok := q.Get(p)
 		if !ok {
 			return
 		}
 		switch job.kind {
-		case txEagerLocal:
-			ps.runEagerLocal(p, ep, job.msg)
 		case txXEager:
 			ps.runXEager(p, job.x)
 		case txRTS:
@@ -350,23 +347,6 @@ func (ps *partShard) txLoop(p *sim.Proc, ep *Endpoint, q *sim.Queue[txJob]) {
 			ps.runData(p, job.x)
 		}
 	}
-}
-
-// runEagerLocal performs an intra-shard eager wire transfer — the daemon
-// replica of the serial engine's transient "eager src->dst" process, with
-// the charge name synthesized only when someone is watching the links.
-func (ps *partShard) runEagerLocal(p *sim.Proc, ep *Endpoint, msg *message) {
-	w := ps.w
-	pname := ""
-	if w.Node(msg.src).TX.Observed() || w.Node(msg.dst).RX.Observed() {
-		pname = fmt.Sprintf("eager %d->%d", msg.src, msg.dst)
-	}
-	ep.wireTransferProc(p, msg.dst, int64(msg.size), pname)
-	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-		Seq: msg.seq, Bytes: msg.size, Eager: true, At: p.Now()})
-	// The NIC has the data: the sender's buffer is free.
-	msg.req.complete(Status{}, nil)
-	msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
 }
 
 // txCharge occupies the local transmit path for the per-message overhead

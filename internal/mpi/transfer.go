@@ -22,52 +22,118 @@ func (ep *Endpoint) checkArgs(dest, tag int) error {
 	return nil
 }
 
-// wireTransfer charges n bytes across the fabric from this rank to dest:
-// the sender's transmit path and the receiver's receive path are held
-// concurrently for the serialization time (cut-through), preceded by the
-// per-message software overhead. It returns when the last byte has left.
-func (ep *Endpoint) wireTransfer(p *sim.Proc, dest int, n int64) {
-	w := ep.world
-	pname := ""
-	if w.Node(ep.rank).TX.Observed() || w.Node(dest).RX.Observed() {
-		pname = p.Name()
-	}
-	ep.wireTransferProc(p, dest, n, pname)
+// wireXfer is one message crossing the fabric from src's node to dst's
+// node: the sender's transmit path and the receiver's receive path are held
+// concurrently (cut-through) for the per-message software overhead plus the
+// serialization time. It runs as a stackless sim process — a small state
+// machine stepped by the scheduler (sim.Engine.SpawnTask) — rather than a
+// goroutine per message, yet it queues in the same link FIFOs at the same
+// ready-queue positions, so virtual time is that of a blocking process
+// doing the same work. The states follow the resource order, which keeps
+// the model cycle-free: a switch path is taken first (FIFO), then the
+// endpoints.
+type wireXfer struct {
+	w        *World
+	src, dst int
+	n        int64
+	state    uint8
+	start    sim.Time // the instant both endpoints were held
+	// Completion, once the last byte has left: a rendezvous data phase runs
+	// its rndv closure; an eager msg completes its sender and arrives one
+	// wire latency later.
+	msg  *message
+	rndv func(p *sim.Proc)
 }
 
-// wireTransferProc is wireTransfer with the charge's process name supplied by
-// the caller, so resident transport daemons (partition.go) can charge under a
-// synthetic per-message identity — and skip formatting it entirely when the
-// links are unobserved.
-func (ep *Endpoint) wireTransferProc(p *sim.Proc, dest int, n int64, pname string) {
-	w := ep.world
-	tx := w.Node(ep.rank).TX
-	rx := w.Node(dest).RX
+const (
+	xferBackplane uint8 = iota // waiting for a switch path
+	xferTX                     // waiting for the sender's transmit path
+	xferRX                     // waiting for the receiver's receive path
+	xferHold                   // both held: occupy them
+	xferDone                   // occupancy over: charge, release, complete
+)
+
+// startWire launches the wire transfer of an eager message (rndv == nil)
+// or of a matched rendezvous message's data phase.
+func (w *World) startWire(msg *message, rndv func(p *sim.Proc)) {
+	x := &wireXfer{w: w, src: msg.src, dst: msg.dst, n: int64(msg.size), msg: msg, rndv: rndv}
+	w.eng.SpawnTask(x.name, x.step)
+}
+
+// name is the transfer's process name, which its link charges carry:
+// "eager s->d" or "rndv s->d", as the per-message processes it replaces
+// were called.
+func (x *wireXfer) name() string {
+	verb := "eager"
+	if x.rndv != nil {
+		verb = "rndv"
+	}
+	return fmt.Sprintf("%s %d->%d", verb, x.src, x.dst)
+}
+
+// step advances the transfer as far as it can go now, returning after it
+// arranges its next wake-up (or after completing).
+func (x *wireXfer) step(p *sim.Proc) {
+	w := x.w
+	bp := w.clus.Backplane
+	tx, rx := w.Node(x.src).TX, w.Node(x.dst).RX
 	ov := w.clus.Sys.NIC.MsgOverhead
-	ser := tx.SerializationTime(n)
-	d := ov + ser
-	// A switch path is taken first (FIFO), then the endpoints; the strict
-	// resource ordering (backplane → tx → rx) keeps the model cycle-free.
-	if bp := w.clus.Backplane; bp != nil {
-		bp.Acquire(p, 1)
-		defer bp.Release(p, 1)
+	switch x.state {
+	case xferBackplane:
+		x.state = xferTX
+		if bp != nil && !bp.AcquireOrWait(p, 1) {
+			return
+		}
+		fallthrough
+	case xferTX:
+		x.state = xferRX
+		if !tx.LockOrWait(p) {
+			return
+		}
+		fallthrough
+	case xferRX:
+		x.state = xferHold
+		if !rx.LockOrWait(p) {
+			return
+		}
+		fallthrough
+	case xferHold:
+		x.start = p.Now()
+		x.state = xferDone
+		if d := ov + tx.SerializationTime(x.n); d > 0 {
+			p.WakeAfter(d)
+			return
+		}
+		fallthrough
+	case xferDone:
+		pname := ""
+		if tx.Observed() || rx.Observed() {
+			pname = p.Name()
+		}
+		// One occupancy interval, accounted as two differently-classed
+		// legs: per-message software overhead first, then serialization.
+		mid := x.start.Add(ov)
+		end := p.Now()
+		tx.ChargeTagged("mpi.sw", pname, 0, x.start, mid)
+		tx.ChargeTagged("wire", pname, x.n, mid, end)
+		rx.ChargeTagged("mpi.sw", pname, 0, x.start, mid)
+		rx.ChargeTagged("wire", pname, x.n, mid, end)
+		rx.Unlock(p)
+		tx.Unlock(p)
+		if bp != nil {
+			bp.Release(p, 1)
+		}
+		if x.rndv != nil {
+			x.rndv(p)
+			return
+		}
+		msg := x.msg
+		w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
+			Seq: msg.seq, Bytes: msg.size, Eager: true, At: end})
+		// The NIC has the data: the sender's buffer is free.
+		msg.req.complete(Status{}, nil)
+		msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
 	}
-	tx.Lock(p)
-	rx.Lock(p)
-	start := p.Now()
-	if d > 0 {
-		p.Sleep(d)
-	}
-	// One occupancy interval, accounted as two differently-classed legs:
-	// per-message software overhead first, then wire serialization.
-	mid := start.Add(ov)
-	end := p.Now()
-	tx.ChargeTagged("mpi.sw", pname, 0, start, mid)
-	tx.ChargeTagged("wire", pname, n, mid, end)
-	rx.ChargeTagged("mpi.sw", pname, 0, start, mid)
-	rx.ChargeTagged("wire", pname, n, mid, end)
-	rx.Unlock(p)
-	tx.Unlock(p)
 }
 
 // deliver finalizes a matched (message, receive) pair.
@@ -184,9 +250,7 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 	}
 	// Rendezvous: run the wire transfer now that both sides exist.
 	lat := w.clus.Sys.NIC.WireLatency
-	w.eng.SpawnLazy(func() string { return fmt.Sprintf("rndv %d->%d", msg.src, msg.dst) }, func(tp *sim.Proc) {
-		src := w.Endpoint(msg.src)
-		src.wireTransfer(tp, msg.dst, int64(msg.size))
+	w.startWire(msg, func(tp *sim.Proc) {
 		w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
 			Seq: msg.seq, RecvSeq: rseq, Bytes: msg.size, At: tp.Now(),
 			PostedDepth: pd, UnexpectedDepth: ud})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -43,6 +44,9 @@ type Options struct {
 	// all jobs (default sweep.Workers(), i.e. the host's cores).
 	Workers int
 	// CacheEntries is the in-memory result cache capacity (default 1024).
+	// It also bounds the job table: unfinished jobs plus the most recently
+	// finished CacheEntries stay addressable by ID (and on /tracez); older
+	// finished jobs are forgotten, and their IDs answer 404.
 	CacheEntries int
 	// CacheDir, when non-empty, persists results to disk so they survive
 	// eviction and restarts.
@@ -79,6 +83,7 @@ type Job struct {
 	NPoints int
 	Cached  bool // result came from the cache, no simulation ran
 
+	seq       int // submission order
 	mu        sync.Mutex
 	status    Status
 	err       error
@@ -144,8 +149,8 @@ func (s *slotSem) release(n int) {
 }
 
 // Manager owns the worker pool, the job table, the result cache, and the
-// service's observability surface (a metrics registry and a trace bus of
-// per-job spans in wall time since start).
+// service's observability surface (a metrics registry and per-job spans in
+// wall time since start).
 type Manager struct {
 	opts  Options
 	cache *Cache
@@ -153,13 +158,12 @@ type Manager struct {
 	sem   *slotSem
 	start time.Time
 
-	busMu sync.Mutex
-	bus   *trace.Bus
-
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string
-	seq   int
+	mu   sync.Mutex
+	jobs map[string]*Job // unfinished jobs plus every job in finished
+	// finished holds the retained finished jobs, oldest finish first, at
+	// most CacheEntries of them. It is also the /tracez span list.
+	finished []*Job
+	seq      int
 
 	// runPoint is the point runner — RunPointObs in production, overridden
 	// by tests that need controllable point timing.
@@ -184,7 +188,6 @@ func NewManager(opts Options) (*Manager, error) {
 		met:      newServeMetrics(opts.Workers, cache.Len),
 		sem:      newSlotSem(opts.Workers),
 		start:    time.Now(),
-		bus:      trace.NewBus(),
 		jobs:     make(map[string]*Job),
 		runPoint: RunPointObs,
 	}, nil
@@ -219,18 +222,20 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	hash := Hash(norm)
 	m.met.submitted.Add(1)
 
-	m.mu.Lock()
-	m.seq++
-	id := fmt.Sprintf("j%d", m.seq)
-	m.mu.Unlock()
 	job := &Job{
-		ID:      id,
 		Hash:    hash,
 		Spec:    norm,
 		NPoints: norm.NumPoints(),
 		done:    make(chan struct{}),
 		started: time.Now(),
 	}
+	// Register before the job can finish, so retire always finds it.
+	m.mu.Lock()
+	m.seq++
+	job.seq = m.seq
+	job.ID = fmt.Sprintf("j%d", m.seq)
+	m.jobs[job.ID] = job
+	m.mu.Unlock()
 
 	if data, ok := m.cache.Get(hash); ok {
 		m.met.cacheHits.Add(1)
@@ -245,7 +250,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		m.met.jobsCompleted.Add(1)
 		m.met.jobWall.Observe(job.finished.Sub(job.started).Seconds())
 		m.met.rec.Record(0, obs.KindJobDone, -1, -1, obs.JobDone, int64(job.finished.Sub(job.started)))
-		m.span(job)
+		m.retire(job)
 	} else {
 		m.met.cacheMisses.Add(1)
 		m.met.rec.Record(0, obs.KindCacheMiss, -1, -1, 0, 0)
@@ -256,11 +261,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		m.met.jobsInflight.Add(1)
 		go m.run(ctx, job)
 	}
-
-	m.mu.Lock()
-	m.jobs[job.ID] = job
-	m.order = append(m.order, job.ID)
-	m.mu.Unlock()
 	return job, nil
 }
 
@@ -332,7 +332,7 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 		}
 	}
 	m.met.jobsInflight.Add(-1)
-	m.span(job)
+	m.retire(job)
 }
 
 // recordPoint appends a progress event and fans it out to subscribers.
@@ -375,20 +375,24 @@ func statusCode(st Status) int64 {
 	return obs.JobDone
 }
 
-// span records the job on the trace bus: one span on the "serve" layer whose
-// lane is the terminal status, in wall time since manager start. /tracez
-// exports the bus as Chrome trace_event JSON.
-func (m *Manager) span(job *Job) {
-	job.mu.Lock()
-	st, from, to := job.status, job.started, job.finished
-	job.mu.Unlock()
-	m.busMu.Lock()
-	defer m.busMu.Unlock()
-	m.bus.Span("serve", "jobs."+string(st), job.ID,
-		simSince(m.start, from), simSince(m.start, to),
-		trace.A("hash", job.Hash[:12]),
-		trace.AInt("points", int64(job.NPoints)),
-		trace.A("cached", fmt.Sprintf("%t", job.Cached)))
+// retire moves a finished job into the retained window, evicting the
+// oldest finished jobs beyond CacheEntries from the job table. Without the
+// bound a long-running daemon would keep every job, its result and its
+// progress events forever.
+func (m *Manager) retire(job *Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = append(m.finished, job)
+	over := len(m.finished) - m.opts.CacheEntries
+	if over <= 0 {
+		return
+	}
+	for _, old := range m.finished[:over] {
+		delete(m.jobs, old.ID)
+	}
+	n := copy(m.finished, m.finished[over:])
+	clear(m.finished[n:])
+	m.finished = m.finished[:n]
 }
 
 // simSince maps a wall instant onto the bus's virtual timeline.
@@ -402,14 +406,15 @@ func (m *Manager) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns all jobs in submission order.
+// Jobs returns the retained jobs in submission order.
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Job, len(m.order))
-	for i, id := range m.order {
-		out[i] = m.jobs[id]
+	out := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		out = append(out, j)
 	}
+	m.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
 	return out
 }
 
@@ -463,11 +468,25 @@ func (m *Manager) FlightDump(w io.Writer) error { return m.met.rec.WriteDump(w) 
 // shutdown output).
 func (m *Manager) ObsReport(w io.Writer) error { return m.met.sim.Report(w) }
 
-// WriteTrace exports the per-job span bus as Chrome trace_event JSON.
+// WriteTrace exports the retained finished jobs as Chrome trace_event JSON:
+// one span per job on the "serve" layer, in finish order, whose lane is the
+// terminal status, in wall time since manager start.
 func (m *Manager) WriteTrace(w io.Writer) error {
-	m.busMu.Lock()
-	defer m.busMu.Unlock()
-	return m.bus.WriteChrome(w)
+	m.mu.Lock()
+	jobs := append([]*Job(nil), m.finished...)
+	m.mu.Unlock()
+	bus := trace.NewBus()
+	for _, job := range jobs {
+		job.mu.Lock()
+		st, from, to := job.status, job.started, job.finished
+		job.mu.Unlock()
+		bus.Span("serve", "jobs."+string(st), job.ID,
+			simSince(m.start, from), simSince(m.start, to),
+			trace.A("hash", job.Hash[:12]),
+			trace.AInt("points", int64(job.NPoints)),
+			trace.A("cached", fmt.Sprintf("%t", job.Cached)))
+	}
+	return bus.WriteChrome(w)
 }
 
 // JobStatus is the wire form of a job snapshot.

@@ -14,7 +14,7 @@ const maxBodyBytes = 1 << 20
 // Server is the HTTP face of a Manager. Endpoints:
 //
 //	POST   /v1/jobs            submit a JobSpec; ?wait=1 blocks until done
-//	GET    /v1/jobs            list job statuses (submission order)
+//	GET    /v1/jobs            list retained job statuses (submission order)
 //	GET    /v1/jobs/{id}       one job's status (+result when done)
 //	DELETE /v1/jobs/{id}       cancel a running job
 //	GET    /v1/jobs/{id}/events  per-point progress as SSE
@@ -103,11 +103,12 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 // cancel handles DELETE /v1/jobs/{id}.
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.m.Cancel(id) {
+	job, ok := s.m.Job(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("serve: no job %q", id))
 		return
 	}
-	job, _ := s.m.Job(id)
+	s.m.Cancel(id)
 	writeJSON(w, s.m.StatusOf(job, false))
 }
 

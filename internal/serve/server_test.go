@@ -285,3 +285,52 @@ func TestServerWaitTimeoutFree(t *testing.T) {
 		}
 	}
 }
+
+// TestServerForgetsOldFinishedJobs: the job table keeps unfinished jobs and
+// the CacheEntries most recently finished ones, so a long-running daemon's
+// memory stays bounded. An evicted ID answers 404; the newest stays
+// addressable, and /tracez carries only the retained window.
+func TestServerForgetsOldFinishedJobs(t *testing.T) {
+	const entries = 20
+	m, ts := testServer(t, Options{Workers: 2, CacheEntries: entries})
+	m.runPoint = func(spec JobSpec, i int, _ *obs.Sim) (PointResult, error) {
+		return PointResult{Strategy: "stub", Bytes: int64(i + 1), MBps: 1}, nil
+	}
+	var first, last JobStatus
+	for i := 0; i < entries+50; i++ {
+		st := postJob(t, ts, fmt.Sprintf(`{"system":"cichlid","sizes":[%d]}`, 1024+i%30))
+		if i == 0 {
+			first = st
+		}
+		last = st
+	}
+	if n := len(m.Jobs()); n > entries {
+		t.Fatalf("%d jobs retained, want <= %d", n, entries)
+	}
+	get := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(first.ID); code != http.StatusNotFound {
+		t.Errorf("oldest job %s: status %d, want 404", first.ID, code)
+	}
+	if code := get(last.ID); code != http.StatusOK {
+		t.Errorf("newest job %s: status %d, want 200", last.ID, code)
+	}
+	resp, err := http.Get(ts.URL + "/tracez")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trc, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if spans := bytes.Count(trc, []byte(`"ph":"X"`)); spans == 0 || spans > entries {
+		t.Errorf("tracez carries %d job spans, want 1..%d", spans, entries)
+	}
+	if bytes.Contains(trc, []byte(`"`+first.ID+`"`)) || !bytes.Contains(trc, []byte(`"`+last.ID+`"`)) {
+		t.Errorf("tracez should name the newest job %s and not the evicted %s", last.ID, first.ID)
+	}
+}

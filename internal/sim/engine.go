@@ -33,7 +33,9 @@ type Engine struct {
 	stopped   bool      // simulation has ended (normally or by abort)
 	err       error
 	done      chan struct{}
-	procs     []*Proc // every process ever spawned, for diagnostics
+	procs     []*Proc // every goroutine process ever spawned, for diagnostics
+	tasks     []*Proc // live stackless tasks (Proc.slot indexes this)
+	spawned   int     // processes and tasks ever spawned
 
 	// Windowed mode (see RunWindow): the engine executes events strictly
 	// before limit, then parks itself by signalling idle instead of
@@ -59,36 +61,44 @@ type Engine struct {
 	xheap crossHeap
 }
 
-// procRing is a growable FIFO of processes. Unlike the head-slicing
-// `ready = ready[1:]` idiom it replaces, popped slots are nilled out and the
-// backing array is reused, so finished processes are not kept reachable and
-// steady-state scheduling allocates nothing.
-type procRing struct {
-	buf  []*Proc
+// ring is a growable FIFO. Unlike the head-slicing `q = q[1:]` idiom it
+// replaces, popped slots are zeroed and the backing array is reused, so
+// dequeued values are not kept reachable and steady-state queueing allocates
+// nothing. The ready queue and the Mutex and Semaphore waiter lists use it.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *procRing) len() int { return r.n }
+// procRing is the ready queue's FIFO of processes.
+type procRing = ring[*Proc]
 
-func (r *procRing) push(p *Proc) {
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
-		grown := make([]*Proc, max(8, 2*len(r.buf)))
+		grown := make([]T, max(8, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
 			grown[i] = r.buf[(r.head+i)%len(r.buf)]
 		}
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)%len(r.buf)] = v
 	r.n++
 }
 
-func (r *procRing) pop() *Proc {
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
+// peek returns the oldest element without removing it. The ring must be
+// non-empty.
+func (r *ring[T]) peek() T { return r.buf[r.head] }
+
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
-	return p
+	return v
 }
 
 // DeadlockError reports that the simulation can make no further progress:
@@ -211,12 +221,38 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnLazy registers a process whose name is computed only when first
-// observed (deadlock reports, CurrentProcName, trace adoption). Paths that
-// spawn one short-lived process per message use this so the common case —
-// the name is never looked at — costs no fmt.Sprintf and no string
-// allocation.
+// observed (deadlock reports, CurrentProcName, trace adoption), so the
+// common case — the name is never looked at — costs no fmt.Sprintf and no
+// string allocation.
 func (e *Engine) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
 	return e.spawnProc(&Proc{nameFn: nameFn}, fn, false)
+}
+
+// SpawnTask registers a stackless process: a state machine with no
+// goroutine of its own. It occupies the same ready queue, timer heap and
+// Mutex/Semaphore FIFOs as any process, so it interleaves with goroutine
+// processes exactly as a goroutine process in its place would. Each time
+// the scheduler would resume it, step runs inline on the scheduling
+// goroutine (without the engine lock). A step must not block: it arranges
+// its next wake-up with one of the non-blocking primitives —
+// Mutex.LockOrWait, Link.LockOrWait, Semaphore.AcquireOrWait or
+// Proc.WakeAfter — and returns; a step that returns without arranging one
+// finishes the task. Any blocking call (Sleep, Lock, Acquire, Wait, Get)
+// panics on a task. The name is computed lazily, as with SpawnLazy.
+//
+// Tasks are for short-lived per-event activity — a message crossing the
+// fabric — where a goroutine, its stack growth and two channel handoffs
+// per wake-up would cost far more than the modelled work.
+func (e *Engine) SpawnTask(nameFn func() string, step func(p *Proc)) *Proc {
+	p := &Proc{nameFn: nameFn, step: step}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.registerLocked(p, false)
+	// Finished tasks leave the set (see retireTaskLocked), so a run with
+	// millions of messages does not keep one record per message.
+	p.slot = len(e.tasks)
+	e.tasks = append(e.tasks, p)
+	return p
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
@@ -226,18 +262,26 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 func (e *Engine) spawnProc(p *Proc, fn func(p *Proc), daemon bool) *Proc {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.registerLocked(p, daemon)
+	e.procs = append(e.procs, p)
+	p.resume = make(chan struct{}, 1)
+	go e.runProc(p, fn)
+	return p
+}
+
+// registerLocked makes p a live process, ready at the current instant.
+// Callers must hold e.mu.
+func (e *Engine) registerLocked(p *Proc, daemon bool) {
 	if e.stopped {
 		panic("sim: Spawn after simulation ended")
 	}
-	p.eng, p.resume, p.state, p.daemon = e, make(chan struct{}, 1), stateReady, daemon
+	p.eng, p.state, p.daemon = e, stateReady, daemon
 	e.alive++
 	if daemon {
 		e.daemons++
 	}
-	e.procs = append(e.procs, p)
+	e.spawned++
 	e.ready.push(p)
-	go e.runProc(p, fn)
-	return p
 }
 
 // runProc is the goroutine body wrapping a process function.
@@ -382,16 +426,18 @@ func (e *Engine) aliveNonDaemons() int {
 // deadlock report does, sorted. Callers must hold e.mu.
 func (e *Engine) blockedLocked() []string {
 	var blocked []string
-	for _, p := range e.procs {
-		if p.state == stateParked && !p.daemon {
-			label := p.waitLabel
-			if label == "" && p.waitLblr != nil {
-				label = p.waitLblr.WaitLabel()
+	for _, procs := range [][]*Proc{e.procs, e.tasks} {
+		for _, p := range procs {
+			if p.state == stateParked && !p.daemon {
+				label := p.waitLabel
+				if label == "" && p.waitLblr != nil {
+					label = p.waitLblr.WaitLabel()
+				}
+				if label == "" {
+					label = "unknown"
+				}
+				blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name(), label))
 			}
-			if label == "" {
-				label = "unknown"
-			}
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name(), label))
 		}
 	}
 	sort.Strings(blocked)
@@ -444,7 +490,8 @@ func (e *Engine) Err() error {
 
 // Stats summarizes a simulation's size.
 type Stats struct {
-	// Procs is the total number of processes ever spawned.
+	// Procs is the total number of processes ever spawned, stackless tasks
+	// included.
 	Procs int
 	// Timers is the total number of timer events scheduled.
 	Timers uint64
@@ -456,7 +503,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Stats{Procs: len(e.procs), Timers: e.seq, Now: e.now}
+	return Stats{Procs: e.spawned, Timers: e.seq, Now: e.now}
 }
 
 // atLocked schedules fn to run (with the engine lock held) at instant t.
@@ -635,6 +682,15 @@ func (e *Engine) scheduleLocked() {
 			p := e.ready.pop()
 			e.running = true
 			e.cur = p
+			if p.step != nil {
+				// A stackless task continues right here, at the ready-queue
+				// position a goroutine process would have been resumed
+				// from, so same-instant order is the same for both kinds.
+				if e.stepTaskLocked(p) {
+					return
+				}
+				continue
+			}
 			p.resume <- struct{}{}
 			return
 		}
@@ -686,15 +742,47 @@ func (e *Engine) scheduleLocked() {
 	}
 }
 
+// stepTaskLocked runs one step of the stackless task p, which the caller
+// has just popped from the ready queue and made current. The step runs
+// without e.mu, like any process body. A task still marked running
+// afterwards arranged no wake-up, so it has finished. Reports whether the
+// simulation stopped meanwhile, in which case scheduling must end. Callers
+// must hold e.mu.
+func (e *Engine) stepTaskLocked(p *Proc) (stopped bool) {
+	p.state = stateRunning
+	e.mu.Unlock()
+	p.step(p)
+	e.mu.Lock()
+	if p.state == stateRunning {
+		e.retireTaskLocked(p)
+	}
+	e.running = false
+	if e.stopped && e.alive == 0 {
+		e.closeDoneLocked()
+	}
+	return e.stopped
+}
+
+// retireTaskLocked finishes the stackless task p and drops it from the live
+// task set. Callers must hold e.mu.
+func (e *Engine) retireTaskLocked(p *Proc) {
+	last := e.tasks[len(e.tasks)-1]
+	e.tasks[p.slot], last.slot = last, p.slot
+	e.tasks[len(e.tasks)-1] = nil
+	e.tasks = e.tasks[:len(e.tasks)-1]
+	p.state, p.step = stateFinished, nil
+	e.alive--
+}
+
 // abortLocked tears the simulation down: every blocked process is resumed so
-// it can unwind via abortPanic, guaranteeing no goroutine leaks. Callers must
-// hold e.mu.
+// it can unwind via abortPanic, guaranteeing no goroutine leaks, and every
+// blocked stackless task — which has no goroutine to unwind — is retired on
+// the spot. Callers must hold e.mu.
 func (e *Engine) abortLocked(err error) {
 	e.stopped = true
 	e.err = err
-	if e.alive == 0 {
-		e.closeDoneLocked()
-		return
+	for len(e.tasks) > 0 {
+		e.retireTaskLocked(e.tasks[len(e.tasks)-1])
 	}
 	for _, p := range e.procs {
 		if p.state == stateParked || p.state == stateReady {
@@ -704,7 +792,11 @@ func (e *Engine) abortLocked(err error) {
 			}
 		}
 	}
-	// The last process to observe the stop closes done (see runProc/park).
+	if e.alive == 0 {
+		e.closeDoneLocked()
+	}
+	// Otherwise the last process to observe the stop closes done (see
+	// runProc/park).
 }
 
 // closeDoneLocked signals Run exactly once. Callers must hold e.mu.

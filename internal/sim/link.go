@@ -138,13 +138,15 @@ func (l *Link) OccupyTagged(p *Proc, d time.Duration, tag string, bytes int64) {
 // the same interval. Prefer Transfer or Occupy for single-link charges.
 func (l *Link) Lock(p *Proc) { l.mu.Lock(p) }
 
+// LockOrWait is Lock for a stackless task: see Mutex.LockOrWait.
+func (l *Link) LockOrWait(p *Proc) bool { return l.mu.LockOrWait(p) }
+
 // Unlock releases the link.
 func (l *Link) Unlock(p *Proc) { l.mu.Unlock(p) }
 
 // AddBusy records utilization accounting for externally timed occupancy.
 // The occupancy interval reported to an observer is the d preceding the
-// current instant, matching how callers charge after sleeping (see
-// mpi wireTransfer).
+// current instant, matching how callers charge after sleeping.
 func (l *Link) AddBusy(d time.Duration, bytes int64) {
 	l.eng.mu.Lock()
 	l.busy += d
@@ -160,7 +162,7 @@ func (l *Link) AddBusy(d time.Duration, bytes int64) {
 // explicitly intervalled occupancy, reported with a resource-class tag and
 // the charging process's name. Unlike AddBusy the caller supplies the
 // interval, so one sleep can be split into adjacent differently-tagged legs
-// (see mpi wireTransfer) without changing virtual time.
+// (see mpi wireXfer) without changing virtual time.
 func (l *Link) ChargeTagged(tag, proc string, bytes int64, start, end Time) {
 	d := end.Sub(start)
 	if d < 0 {

@@ -44,7 +44,9 @@ type Proc struct {
 	eng       *Engine
 	name      string
 	nameFn    func() string // lazy name (SpawnLazy); resolved on first Name
-	resume    chan struct{}
+	resume    chan struct{} // nil for a stackless task
+	step      func(p *Proc) // a stackless task's continuation (SpawnTask)
+	slot      int           // a live task's index in Engine.tasks
 	state     procState
 	daemon    bool
 	waitLabel string  // what the process is blocked on, for deadlock reports
@@ -72,6 +74,7 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // durations yield the processor to other ready processes at the same instant
 // without advancing the clock for this process.
 func (p *Proc) Sleep(d time.Duration) {
+	p.mustBlock("Sleep")
 	if d < 0 {
 		d = 0
 	}
@@ -100,4 +103,38 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // child becomes runnable once p next blocks.
 func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p.eng.Spawn(name, fn)
+}
+
+// WakeAfter is a stackless task's Sleep: it arranges for p to be resumed
+// after duration d of virtual time, taking the same timer slot Sleep(d)
+// would, and returns at once; the calling step must then return. A zero or
+// negative d resumes p behind every process already ready at this instant.
+func (p *Proc) WakeAfter(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	e := p.eng
+	e.mu.Lock()
+	e.atProcLocked(e.now.Add(d), p)
+	p.waitLocked("sleep")
+	e.mu.Unlock()
+}
+
+// waitLocked records that the running task p has arranged a wake-up and
+// will return from its step. Callers must hold the engine lock.
+func (p *Proc) waitLocked(label string) {
+	if p.step == nil {
+		panic(fmt.Sprintf("sim: non-blocking wait on goroutine process %q; use the blocking call", p.Name()))
+	}
+	p.state = stateParked
+	p.waitLabel = label
+}
+
+// mustBlock panics when p is a stackless task, which has no goroutine to
+// park: op is a blocking call, and a task must use the non-blocking
+// primitives instead.
+func (p *Proc) mustBlock(op string) {
+	if p.step != nil {
+		panic(fmt.Sprintf("sim: blocking %s on stackless task %q", op, p.Name()))
+	}
 }

@@ -51,6 +51,7 @@ func (q *Queue[T]) Put(v T) {
 // queue is empty. The second result is false if the queue was closed and
 // drained.
 func (q *Queue[T]) Get(p *Proc) (T, bool) {
+	p.mustBlock("Queue.Get")
 	e := q.eng
 	e.mu.Lock()
 	if len(q.items) > 0 {

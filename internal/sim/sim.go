@@ -7,6 +7,10 @@
 // When the running process blocks on a simulation primitive (Sleep, a
 // Trigger, a Mutex, ...), the engine resumes the next ready process, or, when
 // none is ready, advances the virtual clock to the earliest pending timer.
+// A process with nothing to do between waits but queue on FIFOs and timers
+// can instead be a stackless task (Engine.SpawnTask): a step function the
+// scheduler calls inline, at the same ready-queue position, with no
+// goroutine behind it.
 //
 // The engine is the substrate for every other subsystem in this repository:
 // the OpenCL-like device runtime (internal/cl), the MPI-like message-passing

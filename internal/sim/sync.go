@@ -10,7 +10,7 @@ type Mutex struct {
 	label     string
 	waitLabel string // precomputed park label, off the Lock hot path
 	locked    bool
-	waiters   []*Proc
+	waiters   ring[*Proc]
 }
 
 // NewMutex creates an unlocked virtual mutex.
@@ -20,6 +20,7 @@ func NewMutex(e *Engine, label string) *Mutex {
 
 // Lock blocks process p until it holds the mutex.
 func (m *Mutex) Lock(p *Proc) {
+	p.mustBlock("Mutex.Lock")
 	e := m.eng
 	e.mu.Lock()
 	if !m.locked {
@@ -27,10 +28,27 @@ func (m *Mutex) Lock(p *Proc) {
 		e.mu.Unlock()
 		return
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	e.park(p, m.waitLabel)
 	// Ownership was transferred to us by Unlock before we were woken.
 	e.mu.Unlock()
+}
+
+// LockOrWait is Lock for a stackless task (see Engine.SpawnTask). It takes
+// the mutex and reports true if it is free; otherwise it queues p in the
+// same FIFO as Lock and reports false, and p's next step runs holding the
+// mutex.
+func (m *Mutex) LockOrWait(p *Proc) bool {
+	e := m.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !m.locked {
+		m.locked = true
+		return true
+	}
+	p.waitLocked(m.waitLabel)
+	m.waiters.push(p)
+	return false
 }
 
 // Unlock releases the mutex, handing it directly to the longest-waiting
@@ -42,10 +60,8 @@ func (m *Mutex) Unlock(p *Proc) {
 	if !m.locked {
 		panic(fmt.Sprintf("sim: unlock of unlocked mutex %q", m.label))
 	}
-	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		e.wakeLocked(next) // lock stays held, ownership transfers
+	if m.waiters.len() > 0 {
+		e.wakeLocked(m.waiters.pop()) // lock stays held, ownership transfers
 		return
 	}
 	m.locked = false
@@ -57,7 +73,7 @@ type Semaphore struct {
 	label     string
 	waitLabel string
 	count     int
-	waiters   []*semWaiter
+	waiters   ring[semWaiter]
 }
 
 type semWaiter struct {
@@ -77,20 +93,40 @@ func NewSemaphore(e *Engine, label string, n int) *Semaphore {
 // served strictly in FIFO order (no barging), so a large request cannot be
 // starved by a stream of small ones.
 func (s *Semaphore) Acquire(p *Proc, n int) {
+	p.mustBlock("Semaphore.Acquire")
 	if n <= 0 {
 		return
 	}
 	e := s.eng
 	e.mu.Lock()
-	if len(s.waiters) == 0 && s.count >= n {
+	if s.waiters.len() == 0 && s.count >= n {
 		s.count -= n
 		e.mu.Unlock()
 		return
 	}
-	w := &semWaiter{p: p, n: n}
-	s.waiters = append(s.waiters, w)
+	s.waiters.push(semWaiter{p: p, n: n})
 	e.park(p, s.waitLabel)
 	e.mu.Unlock()
+}
+
+// AcquireOrWait is Acquire for a stackless task (see Engine.SpawnTask). It
+// takes n permits and reports true if the FIFO allows it now; otherwise it
+// queues p in the same FIFO as Acquire and reports false, and p's next step
+// runs holding the permits.
+func (s *Semaphore) AcquireOrWait(p *Proc, n int) bool {
+	if n <= 0 {
+		return true
+	}
+	e := s.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if s.waiters.len() == 0 && s.count >= n {
+		s.count -= n
+		return true
+	}
+	p.waitLocked(s.waitLabel)
+	s.waiters.push(semWaiter{p: p, n: n})
+	return false
 }
 
 // Release returns n permits and wakes as many FIFO waiters as can now be
@@ -103,9 +139,8 @@ func (s *Semaphore) Release(p *Proc, n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s.count += n
-	for len(s.waiters) > 0 && s.count >= s.waiters[0].n {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	for s.waiters.len() > 0 && s.count >= s.waiters.peek().n {
+		w := s.waiters.pop()
 		s.count -= w.n
 		e.wakeLocked(w.p)
 	}

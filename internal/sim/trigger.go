@@ -155,6 +155,7 @@ func (t *Trigger) fireLocked(at Time, payload any) {
 
 // Wait blocks process p until the trigger fires and returns its payload.
 func (t *Trigger) Wait(p *Proc) any {
+	p.mustBlock("Trigger.Wait")
 	e := t.eng
 	e.mu.Lock()
 	if t.fired {
