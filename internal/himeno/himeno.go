@@ -107,33 +107,28 @@ func initPlane(mode InitMode, s Size, i int, dst []float32) {
 // (plane, j, k) order. Every implementation — Reference and the device
 // kernels jacobiKernel builds — funnels through stencilPlanes, which is what
 // makes bitwise agreement between them a meaningful test.
-//
-// The explicit float32/float64 conversions round each product on its own,
-// so no architecture may fuse it into an FMA and change the result.
 func stencilPlanes(src, dst []float32, J, K, liFrom, liTo int) float64 {
+	return sweepPlanes(stencilRow, src, dst, J, K, liFrom, liTo)
+}
+
+// sweepPlanes is stencilPlanes with the row kernel as a parameter, so tests
+// and benchmarks can run the portable kernel over the same walk.
+func sweepPlanes(kernel rowKernel, src, dst []float32, J, K, liFrom, liTo int) float64 {
 	plane, n := J*K, K-2
 	var gosa float64
 	for i := liFrom; i < liTo; i++ {
 		for j := 1; j < J-1; j++ {
-			// Row slices start at k = 1, so index k below is cell k+1 of
-			// the row; reslicing each to n lets the loop run unchecked.
+			// Row slices start at k = 1, so index k of each is cell k+1
+			// of its row; reslicing each to n lets the kernel run unchecked.
 			c := i*plane + j*K + 1
-			row := src[c:][:n]
-			east := src[c+1:][:n]   // k+1
-			west := src[c-1:][:n]   // k-1
-			up := src[c+plane:][:n] // i+1
-			dn := src[c-plane:][:n] // i-1
-			north := src[c+K:][:n]  // j+1
-			south := src[c-K:][:n]  // j-1
-			out := dst[c:][:n]
-			for k, v := range row {
-				// Official constant coefficients: a0..a2 = 1, a3 = 1/6,
-				// b = 0, c = 1, wrk1 = 0, bnd = 1.
-				s0 := up[k] + north[k] + east[k] + dn[k] + south[k] + west[k]
-				ss := float32(s0*float32(1.0/6.0)) - v
-				out[k] = v + float32(Omega*ss)
-				gosa += float64(float64(ss) * float64(ss))
-			}
+			gosa = kernel(dst[c:][:n], src[c:][:n],
+				src[c+1:][:n],     // east: k+1
+				src[c-1:][:n],     // west: k-1
+				src[c+plane:][:n], // up: i+1
+				src[c-plane:][:n], // dn: i-1
+				src[c+K:][:n],     // north: j+1
+				src[c-K:][:n],     // south: j-1
+				gosa)
 		}
 	}
 	return gosa

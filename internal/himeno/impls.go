@@ -1,9 +1,7 @@
 package himeno
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/bytepool"
 	"repro/internal/cl"
@@ -418,33 +416,7 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 	firstDir, secondDir, firstA := rk.stageOrder()
 	pb := rk.size.planeBytes()
 
-	// Out-of-order pack/unpack and comm command helpers on q.
-	pack := func(src []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
-		s := rk.size
-		cost := rk.planeKernelCost()
-		return q.Enqueue(fmt.Sprintf("pack(li=%d)", li), waits, func(wp *sim.Proc) error {
-			wp.Sleep(cost)
-			out := buf.Bytes()
-			base := li * s.J * s.K
-			for x := 0; x < s.J*s.K; x++ {
-				binary.LittleEndian.PutUint32(out[x*4:], math.Float32bits(src[base+x]))
-			}
-			return nil
-		})
-	}
-	unpack := func(dst []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
-		s := rk.size
-		cost := rk.planeKernelCost()
-		return q.Enqueue(fmt.Sprintf("unpack(li=%d)", li), waits, func(wp *sim.Proc) error {
-			wp.Sleep(cost)
-			in := buf.Bytes()
-			base := li * s.J * s.K
-			for x := 0; x < s.J*s.K; x++ {
-				dst[base+x] = math.Float32frombits(binary.LittleEndian.Uint32(in[x*4:]))
-			}
-			return nil
-		})
-	}
+	// Out-of-order comm command helpers on q.
 	send := func(buf *cl.Buffer, peer, tag int, waits []*cl.Event) (*cl.Event, error) {
 		return q.Enqueue(fmt.Sprintf("clmpi.send ooo->%d", peer), waits, func(wp *sim.Proc) error {
 			return rk.rt.SendDeviceBuffer(wp, buf, 0, pb, peer, tag, comm)
@@ -475,7 +447,7 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 		// First-stage exchange on p.
 		var evUnpack1 *cl.Event
 		if peer, sendLi, ghostLi, sendTag, recvTag, sendBuf, recvBuf := rk.exchangeSpec(firstDir); peer >= 0 {
-			evPack, err := pack(rk.p, sendLi, sendBuf, dep())
+			evPack, err := rk.enqueuePack(q, rk.p, sendLi, sendBuf, dep())
 			if err != nil {
 				return err
 			}
@@ -487,7 +459,7 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 			if err != nil {
 				return err
 			}
-			if evUnpack1, err = unpack(rk.p, ghostLi, recvBuf, []*cl.Event{evRecv}); err != nil {
+			if evUnpack1, err = rk.enqueueUnpack(q, rk.p, ghostLi, recvBuf, []*cl.Event{evRecv}); err != nil {
 				return err
 			}
 			iterEvents = append(iterEvents, evSend, evUnpack1)
@@ -511,7 +483,7 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 
 		// Second-stage exchange on wrk.
 		if peer, sendLi, ghostLi, sendTag, recvTag, sendBuf, recvBuf := rk.exchangeSpec(secondDir); peer >= 0 {
-			evPack, err := pack(rk.wrk, sendLi, sendBuf, []*cl.Event{evK1})
+			evPack, err := rk.enqueuePack(q, rk.wrk, sendLi, sendBuf, []*cl.Event{evK1})
 			if err != nil {
 				return err
 			}
@@ -523,7 +495,7 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 			if err != nil {
 				return err
 			}
-			evUnpack2, err := unpack(rk.wrk, ghostLi, recvBuf, []*cl.Event{evRecv})
+			evUnpack2, err := rk.enqueueUnpack(q, rk.wrk, ghostLi, recvBuf, []*cl.Event{evRecv})
 			if err != nil {
 				return err
 			}

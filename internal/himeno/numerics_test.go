@@ -174,15 +174,27 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 // gosaSink keeps the benchmarked sweep's result live.
 var gosaSink float64
 
-// BenchmarkStencilPlanes is one Jacobi sweep over the interior of size M.
+// BenchmarkStencilPlanes is one Jacobi sweep over the interior of size M,
+// twice: size=M runs the portable Go row kernel, sse2/size=M the amd64
+// assembly kernel the solver runs there. Measured in the same run, their
+// ratio does not depend on the host's speed, so CI gates it
+// (clmpi-benchdiff -pair-prefix sse2/): a silent fallback to the Go kernel
+// on amd64 fails regardless of the runner.
 func BenchmarkStencilPlanes(b *testing.B) {
 	s := SizeM
 	src := oracleGrid(OfficialInit, s)
 	dst := append([]float32(nil), src...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		gosaSink = stencilPlanes(src, dst, s.J, s.K, 1, s.I-1)
+	sweep := func(name string, kernel rowKernel) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				gosaSink = sweepPlanes(kernel, src, dst, s.J, s.K, 1, s.I-1)
+			}
+		})
+	}
+	sweep("size=M", stencilRowGeneric)
+	if runtime.GOARCH == "amd64" {
+		sweep("sse2/size=M", stencilRow)
 	}
 }
 

@@ -1,9 +1,7 @@
 package himeno
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cl"
@@ -122,6 +120,18 @@ type rank struct {
 // planeBytes reports the wire size of one halo plane.
 func (s Size) planeBytes() int64 { return int64(s.J) * int64(s.K) * 4 }
 
+// plane returns local plane li of a, one of the rank's J×K grid planes.
+func (rk *rank) plane(a []float32, li int) []float32 {
+	n := rk.size.J * rk.size.K
+	return a[li*n : (li+1)*n]
+}
+
+// owned returns the rank's owned planes of a, without its ghost planes.
+func (rk *rank) owned(a []float32) []float32 {
+	n := rk.size.J * rk.size.K
+	return a[n : (rk.own+1)*n]
+}
+
 // decompose assigns interior planes [1, I-1) to n ranks as evenly as
 // possible, earlier ranks taking the remainder.
 func decompose(s Size, n, r int) (lo, hi int) {
@@ -212,35 +222,31 @@ func (rk *rank) planeKernelCost() time.Duration {
 	return 3*time.Microsecond + time.Duration(float64(rk.size.planeBytes())/gddrBW*1e9)
 }
 
+// enqueuer is the command submission shared by the in-order and the
+// out-of-order queue.
+type enqueuer interface {
+	Enqueue(label string, waits []*cl.Event, run func(p *sim.Proc) error) (*cl.Event, error)
+}
+
 // enqueuePack copies local plane li of src into the staging buffer. Packing
 // runs on the device's copy path (DMA-engine style), not the compute unit,
 // so it never queues behind a running Jacobi kernel — matching hardware of
 // the paper's era, whose copy engines work alongside the SMs.
-func (rk *rank) enqueuePack(q *cl.CommandQueue, src []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
-	s := rk.size
+func (rk *rank) enqueuePack(q enqueuer, src []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
 	cost := rk.planeKernelCost()
 	return q.Enqueue(fmt.Sprintf("pack(li=%d)", li), waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
-		out := buf.Bytes()
-		base := li * s.J * s.K
-		for x := 0; x < s.J*s.K; x++ {
-			binary.LittleEndian.PutUint32(out[x*4:], math.Float32bits(src[base+x]))
-		}
+		packPlane(buf.Bytes(), rk.plane(src, li))
 		return nil
 	})
 }
 
 // enqueueUnpack copies the staging buffer into local plane li of dst.
-func (rk *rank) enqueueUnpack(q *cl.CommandQueue, dst []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
-	s := rk.size
+func (rk *rank) enqueueUnpack(q enqueuer, dst []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
 	cost := rk.planeKernelCost()
 	return q.Enqueue(fmt.Sprintf("unpack(li=%d)", li), waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
-		in := buf.Bytes()
-		base := li * s.J * s.K
-		for x := 0; x < s.J*s.K; x++ {
-			dst[base+x] = math.Float32frombits(binary.LittleEndian.Uint32(in[x*4:]))
-		}
+		unpackPlane(rk.plane(dst, li), buf.Bytes())
 		return nil
 	})
 }
@@ -248,12 +254,7 @@ func (rk *rank) enqueueUnpack(q *cl.CommandQueue, dst []float32, li int, buf *cl
 // gatherInterior copies the rank's owned planes into a full-size global grid
 // (used by verification).
 func (rk *rank) gatherInterior(global []float32) {
-	s := rk.size
-	for li := 1; li <= rk.own; li++ {
-		gi := rk.lo - 1 + li
-		copy(global[idx(s.J, s.K, gi, 0, 0):idx(s.J, s.K, gi+1, 0, 0)],
-			rk.p[idx(s.J, s.K, li, 0, 0):idx(s.J, s.K, li+1, 0, 0)])
-	}
+	copy(global[idx(rk.size.J, rk.size.K, rk.lo, 0, 0):], rk.owned(rk.p))
 }
 
 // checkpointing state, active when Config.CheckpointEvery > 0 (CLMPI
@@ -292,16 +293,10 @@ func (rk *rank) initCheckpointer(every int, path string) error {
 
 // enqueuePackGrid copies the owned planes of src into the checkpoint buffer.
 func (rk *rank) enqueuePackGrid(src []float32, waits []*cl.Event) (*cl.Event, error) {
-	s := rk.size
-	n := rk.own * s.J * s.K
 	cost := 3*time.Microsecond + time.Duration(float64(rk.localGridBytes())/100e9*1e9)
 	return rk.ckpt.qio.Enqueue("pack-grid", waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
-		out := rk.ckpt.buf.Bytes()
-		base := 1 * s.J * s.K // skip the low ghost plane
-		for x := 0; x < n; x++ {
-			binary.LittleEndian.PutUint32(out[x*4:], math.Float32bits(src[base+x]))
-		}
+		packPlane(rk.ckpt.buf.Bytes(), rk.owned(src))
 		return nil
 	})
 }
@@ -353,7 +348,6 @@ func (rk *rank) verifyCheckpoint(p *sim.Proc, expect []float32) (bool, error) {
 	if c == nil || c.last == nil {
 		return true, nil
 	}
-	s := rk.size
 	rb, err := rk.ctx.CreateBuffer("ckpt-verify", rk.localGridBytes())
 	if err != nil {
 		return false, err
@@ -361,11 +355,11 @@ func (rk *rank) verifyCheckpoint(p *sim.Proc, expect []float32) (bool, error) {
 	if _, err := rk.rt.EnqueueReadBufferFromFile(p, c.qio, rb, true, 0, rk.localGridBytes(), c.path, 0, nil); err != nil {
 		return false, err
 	}
-	n := rk.own * s.J * s.K
-	base := 1 * s.J * s.K
-	for x := 0; x < n; x++ {
-		v := math.Float32frombits(binary.LittleEndian.Uint32(rb.Bytes()[x*4:]))
-		if v != expect[base+x] {
+	want := rk.owned(expect)
+	got := make([]float32, len(want))
+	unpackPlane(got, rb.Bytes())
+	for x, v := range got {
+		if v != want[x] {
 			return false, nil
 		}
 	}
