@@ -230,11 +230,11 @@ func measureOn(system cluster.System, opts clmpi.Options, size int64) float64 {
 	fab := clmpi.New(world, opts)
 	var elapsed time.Duration
 	world.LaunchRanks("abl", func(p *sim.Proc, ep *mpi.Endpoint) {
-		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), "abl")
+		// Only the elapsed time is read: a timing-only context moves no bytes.
+		ctx := cl.NewTimingContext(cl.NewDevice(eng, ep.Node()), "abl")
 		rt := fab.Attach(ctx, ep)
 		q := ctx.NewQueue("q")
 		buf := ctx.MustCreateBuffer("b", size)
-		defer buf.Release() // recycle the block across ablation points
 		if ep.Rank() == 0 {
 			start := p.Now()
 			if _, err := rt.EnqueueSendBuffer(p, q, buf, true, 0, size, 1, 0, world.Comm(), nil); err != nil {

@@ -19,13 +19,21 @@ import (
 // returned tracer's bus, and the metrics registry is summarized (link and
 // queue utilization gauges, overlap ratios). This is the data source behind
 // the -trace/-metrics flags of cmd/clmpi-trace and cmd/clmpi-himeno and the
-// observability benchmark metrics.
+// observability benchmark metrics. A trace is virtual time only, so the
+// run is timing-only (Result.Gosa is 0).
 func TraceHimeno(sys cluster.System, impl himeno.Impl, size himeno.Size, nodes, iters int) (*trace.Tracer, *himeno.Result, error) {
-	trc := trace.New()
-	res, err := himeno.Run(himeno.Config{
+	return traceHimeno(himeno.Config{
 		System: sys, Nodes: nodes, Size: size, Iters: iters,
-		Impl: impl, Mode: himeno.OfficialInit, Trace: trc,
+		Impl: impl, Mode: himeno.OfficialInit,
 	})
+}
+
+// traceHimeno runs cfg with a fresh tracer attached; the mode-equivalence
+// test sets cfg.Verify to trace the same run with its numerics on.
+func traceHimeno(cfg himeno.Config) (*trace.Tracer, *himeno.Result, error) {
+	trc := trace.New()
+	cfg.Trace = trc
+	res, err := himeno.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,8 +119,17 @@ func ObservedOverlap(trc *trace.Tracer) (overlap, nicUtil float64) {
 
 // MeasureP2PTraced is MeasureP2P with full observability: when trc is
 // non-nil, queues, MPI protocol, and cluster links record onto its bus and
-// the metrics registry is summarized after the run.
+// the metrics registry is summarized after the run. The result is an
+// elapsed time, which reads no data, so the run is timing-only: the
+// payload buffers are phantom (cl.NewTimingContext) and no byte moves.
 func MeasureP2PTraced(sys cluster.System, st clmpi.Strategy, block, size int64, trc *trace.Tracer) (float64, error) {
+	return measureP2P(sys, st, block, size, trc, cl.NewTimingContext)
+}
+
+// measureP2P runs the measurement with contexts from newContext; the
+// mode-equivalence test passes cl.NewContext to move real bytes.
+func measureP2P(sys cluster.System, st clmpi.Strategy, block, size int64, trc *trace.Tracer,
+	newContext func(*cl.Device, string) *cl.Context) (float64, error) {
 	eng := sim.NewEngine()
 	clus := cluster.New(eng, sys, 2)
 	world := mpi.NewWorld(clus)
@@ -127,7 +144,7 @@ func MeasureP2PTraced(sys cluster.System, st clmpi.Strategy, block, size int64, 
 	var elapsed time.Duration
 	var firstErr error
 	world.LaunchRanks("bw", func(p *sim.Proc, ep *mpi.Endpoint) {
-		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("bw%d", ep.Rank()))
+		ctx := newContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("bw%d", ep.Rank()))
 		if trc != nil {
 			trc.InstrumentContext(ctx)
 		}
@@ -141,8 +158,7 @@ func MeasureP2PTraced(sys cluster.System, st clmpi.Strategy, block, size int64, 
 			firstErr = err
 			return
 		}
-		// Release recycles the backing block so a sweep's next point reuses
-		// it instead of allocating a fresh multi-megabyte slice.
+		// A backed buffer goes back to the pool for the next point.
 		defer buf.Release()
 		if ep.Rank() == 0 {
 			start := p.Now()

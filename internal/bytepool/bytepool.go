@@ -7,6 +7,11 @@
 // Slices are pooled in power-of-two size classes backed by sync.Pool, so the
 // pool is safe for concurrent use from parallel sweep workers and shrinks
 // under GC pressure like any sync.Pool.
+//
+// Timing-only runs use phantom slices instead (phantom.go): a length with no
+// storage. Copy, Capture and Put are the operations every data-plane copy,
+// eager capture and recycle goes through, so they are the places that tell
+// the two kinds apart.
 package bytepool
 
 import (
@@ -73,10 +78,10 @@ func GetZero(n int) []byte {
 
 // Put recycles a slice obtained from Get/GetZero. The caller must not retain
 // any alias to b. Slices whose capacity is not an exact size class (they did
-// not come from this pool) are dropped.
+// not come from this pool) are dropped, and so are phantom slices.
 func Put(b []byte) {
 	c := cap(b)
-	if c == 0 || c&(c-1) != 0 || c > 1<<maxClass {
+	if c == 0 || c&(c-1) != 0 || c > 1<<maxClass || IsPhantom(b) {
 		return
 	}
 	box := boxes.Get().(*[]byte)

@@ -9,7 +9,9 @@ import (
 
 // Buffer is a device memory object (cl_mem). Its bytes live in host RAM of
 // the simulating process, but virtual-time charges model them as resident in
-// the GPU's memory: host access goes through the PCIe cost model.
+// the GPU's memory: host access goes through the PCIe cost model. In a
+// timing-only context the bytes are phantom: read-only zeros that no copy
+// moves.
 type Buffer struct {
 	ctx      *Context
 	label    string
@@ -38,6 +40,14 @@ func (c *Context) CreateBuffer(label string, size int64) (*Buffer, error) {
 	if d.allocated+size > d.GlobalMemSize() {
 		return nil, fmt.Errorf("%w: %d bytes requested, %d of %d in use",
 			ErrOutOfResources, size, d.allocated, d.GlobalMemSize())
+	}
+	if c.timingOnly {
+		if size > bytepool.PhantomMax {
+			return nil, fmt.Errorf("%w: timing-only buffer of %d bytes exceeds the %d-byte phantom block",
+				ErrOutOfResources, size, bytepool.PhantomMax)
+		}
+		d.allocated += size
+		return &Buffer{ctx: c, label: label, data: bytepool.Phantom(int(size))}, nil
 	}
 	d.allocated += size
 	// Backing bytes come from the shared pool: a sweep re-creating the same
@@ -88,9 +98,9 @@ func (b *Buffer) Release() error {
 }
 
 // Bytes exposes the raw device bytes for kernels and for the verification
-// paths of tests. Simulation code that is *modelling host access* must not
-// use it directly — that is what Read/Write/Map commands with their PCIe
-// charges are for.
+// paths of tests (a phantom slice in a timing-only context). Simulation code
+// that is *modelling host access* must not use it directly — that is what
+// Read/Write/Map commands with their PCIe charges are for.
 func (b *Buffer) Bytes() []byte { return b.data }
 
 // check validates the buffer and an access window.

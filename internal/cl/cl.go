@@ -7,7 +7,9 @@
 // commands carry event wait lists and publish event objects; user events let
 // external activities participate in command dependencies. Data transfers
 // and kernels move real bytes (so results are testable) while charging
-// virtual time according to the node's PCIe and GPU cost model.
+// virtual time according to the node's PCIe and GPU cost model; a
+// timing-only context (NewTimingContext) charges the same time and moves
+// none.
 //
 // Deliberate simplifications, none of which the paper's evaluation touches:
 // only in-order queues (the paper uses nothing else), one device per

@@ -3,6 +3,7 @@ package cl
 import (
 	"fmt"
 
+	"repro/internal/bytepool"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
@@ -62,6 +63,9 @@ type Context struct {
 
 	queues   []*CommandQueue
 	released bool
+	// timingOnly gives buffers and host staging phantom storage (see
+	// NewTimingContext).
+	timingOnly bool
 
 	// hostObs, when set, is notified of host-thread interactions with the
 	// event graph (enqueues and wait returns); dependency-graph builders use
@@ -90,6 +94,29 @@ func (c *Context) SetHostObserver(o HostObserver) { c.hostObs = o }
 // NewContext creates a context for the device.
 func NewContext(d *Device, label string) *Context {
 	return &Context{eng: d.eng, Device: d, label: label}
+}
+
+// NewTimingContext creates a timing-only context: its buffers and host
+// staging have a length and no storage (bytepool.Phantom), so commands
+// charge the same virtual time as in a NewContext context while copying
+// nothing. Virtual time never reads data, so a caller that reads only
+// times — a figure point — needs nothing more. Kernels launched on it must
+// have a nil Work, and host code must not write its buffers.
+func NewTimingContext(d *Device, label string) *Context {
+	return &Context{eng: d.eng, Device: d, label: label, timingOnly: true}
+}
+
+// TimingOnly reports whether the context was made by NewTimingContext.
+func (c *Context) TimingOnly() bool { return c.timingOnly }
+
+// HostBuffer returns an n-byte host staging slice in the context's mode:
+// pooled memory with arbitrary contents, or a phantom slice in a
+// timing-only context. Either may be handed back with bytepool.Put.
+func (c *Context) HostBuffer(n int) []byte {
+	if c.timingOnly {
+		return bytepool.Phantom(n)
+	}
+	return bytepool.Get(n)
 }
 
 // Engine returns the simulation engine the context runs on.

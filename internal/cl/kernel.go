@@ -22,7 +22,8 @@ type Kernel struct {
 	Cost func(args []any) time.Duration
 	// Work performs the kernel's effect on the argument buffers. It runs
 	// at command completion, so host observers never see partial results.
-	// A nil Work models a pure-cost kernel.
+	// A nil Work models a pure-cost kernel; a timing-only context accepts
+	// only those.
 	Work func(args []any) error
 }
 
@@ -31,14 +32,26 @@ type Kernel struct {
 // the modelled duration. Like hardware of the paper's era, kernels from
 // different queues of one device serialize on the compute unit.
 func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, args []any, waits []*Event) (*Event, error) {
-	if k == nil || (k.FLOPs == nil) == (k.Cost == nil) {
-		return nil, fmt.Errorf("%w: kernel must define exactly one of FLOPs and Cost", ErrInvalidKernel)
+	if err := q.ctx.checkKernel(k); err != nil {
+		return nil, err
 	}
 	dev := q.ctx.Device
 	label := "kernel " + k.Name
 	return q.Enqueue(label, waits, func(wp *sim.Proc) error {
 		return runKernel(wp, dev, k, args)
 	})
+}
+
+// checkKernel validates a launch on the context: exactly one cost model,
+// and no Work in a timing-only context, whose buffers hold no data.
+func (c *Context) checkKernel(k *Kernel) error {
+	if k == nil || (k.FLOPs == nil) == (k.Cost == nil) {
+		return fmt.Errorf("%w: kernel must define exactly one of FLOPs and Cost", ErrInvalidKernel)
+	}
+	if c.timingOnly && k.Work != nil {
+		return fmt.Errorf("%w: kernel %s has a Work function but the context is timing-only", ErrInvalidKernel, k.Name)
+	}
+	return nil
 }
 
 // runKernel executes one launch on the worker process: launch overhead,

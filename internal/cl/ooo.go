@@ -104,8 +104,8 @@ func (q *OOQueue) Enqueue(label string, waits []*Event, run func(p *sim.Proc) er
 // EnqueueNDRangeKernel launches a kernel out of order; see
 // CommandQueue.EnqueueNDRangeKernel for the cost model.
 func (q *OOQueue) EnqueueNDRangeKernel(k *Kernel, args []any, waits []*Event) (*Event, error) {
-	if k == nil || (k.FLOPs == nil) == (k.Cost == nil) {
-		return nil, fmt.Errorf("%w: kernel must define exactly one of FLOPs and Cost", ErrInvalidKernel)
+	if err := q.ctx.checkKernel(k); err != nil {
+		return nil, err
 	}
 	dev := q.ctx.Device
 	return q.Enqueue("kernel "+k.Name, waits, func(wp *sim.Proc) error {

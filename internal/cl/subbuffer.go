@@ -3,6 +3,7 @@ package cl
 import (
 	"fmt"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -53,6 +54,9 @@ func (q *CommandQueue) EnqueueFillBuffer(buf *Buffer, pattern []byte, offset, si
 		g := buf.node().Sys.GPU
 		wp.Sleep(g.DMALatency + secondsToDur(float64(size)/(g.PinnedBW*20)))
 		dst := buf.data[offset : offset+size]
+		if bytepool.IsPhantom(dst) {
+			return nil // timing-only: the charge above is the whole command
+		}
 		for i := range dst {
 			dst[i] = pattern[i%len(pattern)]
 		}

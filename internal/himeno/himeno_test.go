@@ -181,15 +181,20 @@ func TestOverlapHierarchy(t *testing.T) {
 	}
 }
 
+// TestGosaIndependentOfDecomposition opts into Verify: Gosa is computed
+// only with the numerics on, so without it every run reads 0.
 func TestGosaIndependentOfDecomposition(t *testing.T) {
 	var prev float64
 	for i, nodes := range []int{1, 2, 4} {
 		res, err := Run(Config{
 			System: cluster.RICC(), Nodes: nodes, Size: SizeXS, Iters: 3,
-			Impl: CLMPI, Mode: OfficialInit,
+			Impl: CLMPI, Mode: OfficialInit, Verify: true,
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Gosa == 0 {
+			t.Fatalf("gosa at %d nodes is 0: the numerics did not run", nodes)
 		}
 		if i > 0 && relDiff(res.Gosa, prev) > 1e-9 {
 			t.Fatalf("gosa at %d nodes %v differs from %v", nodes, res.Gosa, prev)

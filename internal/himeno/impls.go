@@ -40,10 +40,11 @@ func (rk *rank) hostExchange(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, ar
 	g := rk.ep.Node().Sys.GPU
 	pb := s.planeBytes()
 	// Staging planes are transient: recycled across timesteps (and across
-	// sweep points) through the shared byte pool. Both are fully overwritten
-	// (read-back / message delivery) before they are read.
-	hostSend := bytepool.Get(int(pb))
-	hostRecv := bytepool.Get(int(pb))
+	// sweep points) through the shared byte pool, phantom when the run is
+	// timing-only. Both are fully overwritten (read-back / message
+	// delivery) before they are read.
+	hostSend := rk.ctx.HostBuffer(int(pb))
+	hostRecv := rk.ctx.HostBuffer(int(pb))
 
 	if _, err := rk.enqueuePack(q, arr, sendLi, sendBuf, nil); err != nil {
 		return err
@@ -104,8 +105,8 @@ func (rk *rank) hostExchangeBoth(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm
 		if peer < 0 {
 			continue
 		}
-		hostSend := bytepool.Get(int(pb))
-		hostRecv := bytepool.Get(int(pb))
+		hostSend := rk.ctx.HostBuffer(int(pb))
+		hostRecv := rk.ctx.HostBuffer(int(pb))
 		staged = append(staged, hostSend, hostRecv)
 		if _, err := rk.enqueuePack(q, arr, sendLi, sendBuf, nil); err != nil {
 			return err

@@ -104,7 +104,7 @@ type rank struct {
 	own    int // hi - lo
 	half   int // planes in part A (the upper half)
 
-	p, wrk []float32 // local grid incl. ghost planes 0 and own+1
+	p, wrk []float32 // local grid incl. ghost planes 0 and own+1; nil when timing-only
 
 	// Plane staging buffers in device memory (J*K float32 each).
 	sendLo, sendHi, recvLo, recvHi *cl.Buffer
@@ -158,16 +158,18 @@ func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt
 		size: s, mode: mode, ep: ep, ctx: ctx, rt: rt,
 		lo: lo, hi: hi, own: own, half: own / 2,
 	}
-	plane := s.J * s.K
-	rk.p = make([]float32, (own+2)*plane)
-	for li := 0; li < own+2; li++ {
-		gi := lo - 1 + li
-		if gi < 0 || gi >= s.I {
-			continue // beyond the global domain (edge ranks)
+	if rk.numerics() {
+		plane := s.J * s.K
+		rk.p = make([]float32, (own+2)*plane)
+		for li := 0; li < own+2; li++ {
+			gi := lo - 1 + li
+			if gi < 0 || gi >= s.I {
+				continue // beyond the global domain (edge ranks)
+			}
+			initPlane(mode, s, gi, rk.p[li*plane:(li+1)*plane])
 		}
-		initPlane(mode, s, gi, rk.p[li*plane:(li+1)*plane])
+		rk.wrk = append([]float32(nil), rk.p...)
 	}
-	rk.wrk = append([]float32(nil), rk.p...)
 	pb := s.planeBytes()
 	var err error
 	if rk.sendLo, err = ctx.CreateBuffer("sendLo", pb); err != nil {
@@ -184,6 +186,10 @@ func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt
 	}
 	return rk, nil
 }
+
+// numerics reports whether the rank computes: grids, kernel work and the
+// pack/unpack copies exist only outside a timing-only context.
+func (rk *rank) numerics() bool { return !rk.ctx.TimingOnly() }
 
 // upRank / downRank report neighbours, or -1 at the domain edges.
 func (rk *rank) upRank() int {
@@ -204,16 +210,19 @@ func (rk *rank) downRank() int {
 // src, writing dst and accumulating the squared residual into rk.gosa.
 func (rk *rank) jacobiKernel(name string, src, dst []float32, liFrom, liTo int) *cl.Kernel {
 	s := rk.size
-	return &cl.Kernel{
+	k := &cl.Kernel{
 		Name: name,
 		FLOPs: func([]any) float64 {
 			return FLOPsPerCell * float64(liTo-liFrom) * float64(s.J-2) * float64(s.K-2)
 		},
-		Work: func([]any) error {
+	}
+	if rk.numerics() {
+		k.Work = func([]any) error {
 			rk.gosa += stencilPlanes(src, dst, s.J, s.K, liFrom, liTo)
 			return nil
-		},
+		}
 	}
+	return k
 }
 
 // planeKernelCost models pack/unpack as GDDR-bandwidth-bound copies.
@@ -236,7 +245,9 @@ func (rk *rank) enqueuePack(q enqueuer, src []float32, li int, buf *cl.Buffer, w
 	cost := rk.planeKernelCost()
 	return q.Enqueue(fmt.Sprintf("pack(li=%d)", li), waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
-		packPlane(buf.Bytes(), rk.plane(src, li))
+		if rk.numerics() {
+			packPlane(buf.Bytes(), rk.plane(src, li))
+		}
 		return nil
 	})
 }
@@ -246,7 +257,9 @@ func (rk *rank) enqueueUnpack(q enqueuer, dst []float32, li int, buf *cl.Buffer,
 	cost := rk.planeKernelCost()
 	return q.Enqueue(fmt.Sprintf("unpack(li=%d)", li), waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
-		unpackPlane(rk.plane(dst, li), buf.Bytes())
+		if rk.numerics() {
+			unpackPlane(rk.plane(dst, li), buf.Bytes())
+		}
 		return nil
 	})
 }
@@ -296,7 +309,9 @@ func (rk *rank) enqueuePackGrid(src []float32, waits []*cl.Event) (*cl.Event, er
 	cost := 3*time.Microsecond + time.Duration(float64(rk.localGridBytes())/100e9*1e9)
 	return rk.ckpt.qio.Enqueue("pack-grid", waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
-		packPlane(rk.ckpt.buf.Bytes(), rk.owned(src))
+		if rk.numerics() {
+			packPlane(rk.ckpt.buf.Bytes(), rk.owned(src))
+		}
 		return nil
 	})
 }

@@ -21,8 +21,12 @@ type Config struct {
 	Impl    Impl
 	Mode    InitMode
 	Options clmpi.Options // extension options (zero value = Auto strategy)
-	// Verify additionally assembles the final global pressure grid into
-	// Result.Grid (outside the timed region, via simulator shortcuts).
+	// Verify runs the numerics: real grids, stencil kernels and halo
+	// bytes, the final global pressure grid assembled into Result.Grid
+	// (outside the timed region, via simulator shortcuts), and Result.Gosa.
+	// Without it the run is timing-only: every command charges the same
+	// virtual time on phantom buffers (cl.NewTimingContext) and computes
+	// nothing, because no timing reads data.
 	Verify bool
 	// Trace, when non-nil, records every queue's command timeline — the
 	// raw material of the Fig. 4 reproduction.
@@ -40,7 +44,8 @@ type Config struct {
 type Result struct {
 	// Elapsed is the virtual time of the iteration loop, max across ranks.
 	Elapsed time.Duration
-	// Gosa is the global residual of the last iteration.
+	// Gosa is the global residual of the last iteration, set only when
+	// Config.Verify is (0 otherwise).
 	Gosa float64
 	// GFLOPS is the sustained rate by the benchmark's nominal count.
 	GFLOPS float64
@@ -87,7 +92,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	world.LaunchRanks("himeno", func(p *sim.Proc, ep *mpi.Endpoint) {
-		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("himeno%d", ep.Rank()))
+		newContext := cl.NewTimingContext
+		if cfg.Verify {
+			newContext = cl.NewContext
+		}
+		ctx := newContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("himeno%d", ep.Rank()))
 		if cfg.Trace != nil {
 			cfg.Trace.InstrumentContext(ctx)
 		}

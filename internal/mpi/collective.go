@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -103,7 +104,7 @@ func (ep *Endpoint) Gather(p *sim.Proc, contrib []byte, out []byte, root int, co
 		if len(out) < sz*n {
 			return fmt.Errorf("%w: gather buffer %d < %d", ErrTruncate, len(out), sz*n)
 		}
-		copy(out[root*sz:], contrib)
+		bytepool.Copy(out[root*sz:], contrib)
 		reqs := make([]*Request, 0, n-1)
 		for r := 0; r < n; r++ {
 			if r == root {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -26,7 +27,7 @@ func (ep *Endpoint) Allgather(p *sim.Proc, contrib []byte, out []byte, comm *Com
 		return fmt.Errorf("%w: allgather buffer %d < %d", ErrTruncate, len(out), sz*n)
 	}
 	me := ep.rank
-	copy(out[me*sz:(me+1)*sz], contrib)
+	bytepool.Copy(out[me*sz:(me+1)*sz], contrib)
 	if n == 1 {
 		return nil
 	}
@@ -59,7 +60,7 @@ func (ep *Endpoint) Alltoall(p *sim.Proc, in []byte, out []byte, blockSize int, 
 		return fmt.Errorf("%w: alltoall buffers %d/%d < %d", ErrTruncate, len(in), len(out), blockSize*n)
 	}
 	me := ep.rank
-	copy(out[me*blockSize:(me+1)*blockSize], in[me*blockSize:(me+1)*blockSize])
+	bytepool.Copy(out[me*blockSize:(me+1)*blockSize], in[me*blockSize:(me+1)*blockSize])
 	reqs := make([]*Request, 0, 2*(n-1))
 	for r := 0; r < n; r++ {
 		if r == me {

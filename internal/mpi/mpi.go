@@ -21,7 +21,8 @@
 // Timing charges the sender's NIC transmit path and the receiver's NIC
 // receive path concurrently (cut-through) for the serialization time, plus
 // the fabric's wire latency and per-message software overhead taken from the
-// cluster model. Message payloads are real bytes.
+// cluster model. Message payloads are real bytes, or phantom slices in
+// timing-only runs (bytepool.Copy moves nothing between two of those).
 package mpi
 
 import "errors"

@@ -32,7 +32,7 @@ type message struct {
 	seq           uint64
 	size          int
 	eager         bool
-	payload       []byte // eager: pooled captured copy; rendezvous/direct: nil
+	payload       []byte // eager: pooled captured copy (phantom: the send buffer); rendezvous/direct: nil
 	sendBuf       []byte // rendezvous (and direct self-sends): the live send buffer
 	// direct marks an intra-node copy elision: a matching receive was
 	// already posted when the send arrived, so delivery fills the
@@ -115,16 +115,14 @@ func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
 			msg.direct = true
 			msg.sendBuf = buf
 		} else {
-			msg.payload = bytepool.Get(len(buf))
-			copy(msg.payload, buf)
+			msg.payload = bytepool.Capture(buf)
 		}
 		d := localOverhead + secondsToDur(float64(len(buf))/ep.Node().Sys.CPU.MemBW)
 		msg.arrived.FireAfter(d, nil)
 		msg.req.completeAfter(d, Status{}, nil)
 	case len(buf) <= EagerThreshold:
 		msg.eager = true
-		msg.payload = bytepool.Get(len(buf))
-		copy(msg.payload, buf)
+		msg.payload = bytepool.Capture(buf)
 		msg.arrived.Init(w.eng, "eager-msg")
 		w.startWire(msg, nil)
 	default:

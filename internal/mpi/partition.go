@@ -281,8 +281,7 @@ func (ps *partShard) crossSend(ep *Endpoint, buf []byte, dest, tag int, comm *Co
 	x.req.seq = x.seq
 	eager := !ssend && len(buf) <= EagerThreshold
 	if eager {
-		x.payload = bytepool.Get(len(buf))
-		copy(x.payload, buf)
+		x.payload = bytepool.Capture(buf)
 	} else {
 		x.sendBuf = buf
 		ps.pend[x.seq] = x
@@ -416,8 +415,7 @@ func (ps *partShard) runRTS(p *sim.Proc, x *xsend) {
 // land, the sender completes, and the payload crosses.
 func (ps *partShard) runData(p *sim.Proc, x *xsend) {
 	w := ps.w
-	payload := bytepool.Get(x.size)
-	copy(payload, x.sendBuf)
+	payload := bytepool.Capture(x.sendBuf)
 	x.sendBuf = nil
 	pname := ""
 	if w.Node(x.src).TX.Observed() {
@@ -546,7 +544,7 @@ func (ps *partShard) completeData(p *sim.Proc, job rxJob) {
 		panic(fmt.Sprintf("mpi: data phase for unknown message seq %d", job.seq))
 	}
 	delete(ps.await, job.seq)
-	copy(a.buf, job.payload)
+	bytepool.Copy(a.buf, job.payload)
 	bytepool.Put(job.payload)
 	a.req.complete(a.st, nil)
 	ps.w.observe(MsgEvent{Kind: MsgDelivered, Src: a.src, Dst: a.dst, Tag: a.tag,

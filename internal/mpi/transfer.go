@@ -189,7 +189,7 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		// Cross-partition eager: the payload arrived with the injected
 		// envelope, so delivery is immediate (the injection instant is never
 		// later than the match instant).
-		copy(rop.buf, msg.payload)
+		bytepool.Copy(rop.buf, msg.payload)
 		bytepool.Put(msg.payload)
 		msg.payload = nil
 		rop.req.complete(st, nil)
@@ -217,12 +217,12 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 			// Intra-node copy elision: matching is synchronous with the
 			// send, so the sender's buffer still holds the payload — fill
 			// the receiver-owned buffer directly, skipping the staged copy.
-			copy(buf, msg.sendBuf)
+			bytepool.Copy(buf, msg.sendBuf)
 			msg.sendBuf = nil
 		}
 		msg.arrived.OnFire(func(at sim.Time, _ any) {
 			if msg.payload != nil {
-				copy(buf, msg.payload)
+				bytepool.Copy(buf, msg.payload)
 				bytepool.Put(msg.payload)
 				msg.payload = nil
 			}
@@ -242,7 +242,7 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 	if msg.src == msg.dst {
 		// Local rendezvous (synchronous self-send): a memory copy.
 		d := localOverhead + secondsToDur(float64(msg.size)/w.Node(msg.src).Sys.CPU.MemBW)
-		copy(rop.buf, msg.sendBuf)
+		bytepool.Copy(rop.buf, msg.sendBuf)
 		msg.req.completeAfter(d, Status{}, nil)
 		rop.req.completeAfter(d, st, nil)
 		w.observe(delivered(now.Add(d)))
@@ -254,7 +254,7 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
 			Seq: msg.seq, RecvSeq: rseq, Bytes: msg.size, At: tp.Now(),
 			PostedDepth: pd, UnexpectedDepth: ud})
-		copy(rop.buf, msg.sendBuf)
+		bytepool.Copy(rop.buf, msg.sendBuf)
 		// Sender's buffer is reusable once the NIC is done with it.
 		msg.req.complete(Status{}, nil)
 		rop.req.completeAfter(lat, st, nil)

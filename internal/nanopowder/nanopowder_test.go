@@ -101,9 +101,13 @@ func TestBothImplsMatchReference(t *testing.T) {
 
 func TestMassSeriesMonotoneGrowth(t *testing.T) {
 	// Nucleation injects mass every step, so the global mass series grows.
-	res, err := Run(Config{System: cluster.RICC(), Nodes: 4, Impl: CLMPI, Params: testParams()})
+	// MassPerStep is computed only with Verify on.
+	res, err := Run(Config{System: cluster.RICC(), Nodes: 4, Impl: CLMPI, Params: testParams(), Verify: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.MassPerStep) != testParams().Steps {
+		t.Fatalf("mass series has %d steps, want %d", len(res.MassPerStep), testParams().Steps)
 	}
 	for i := 1; i < len(res.MassPerStep); i++ {
 		if res.MassPerStep[i] <= res.MassPerStep[i-1] {

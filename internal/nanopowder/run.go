@@ -45,7 +45,12 @@ type Config struct {
 	Nodes  int
 	Impl   Impl
 	Params Params
-	// Verify additionally returns the final populations of every cell.
+	// Verify runs the physics: coefficient construction, the coagulation
+	// kernels and the bytes they travel in, with Result.MassPerStep and the
+	// final populations of every cell (Result.Final) returned. Without it
+	// the run is timing-only: every command charges the same virtual time
+	// on phantom buffers (cl.NewTimingContext) and computes nothing,
+	// because no timing reads data.
 	Verify bool
 }
 
@@ -57,7 +62,8 @@ type Result struct {
 	// DistCompute is the remainder (distribution + coagulation + gather).
 	SerialTime  time.Duration
 	DistCompute time.Duration
-	// MassPerStep is the global particle mass after each step.
+	// MassPerStep is the global particle mass after each step, set only
+	// when Config.Verify is (nil otherwise).
 	MassPerStep []float64
 	// Final holds every cell's population when Config.Verify is set.
 	Final [][]float64
@@ -75,10 +81,13 @@ func Run(cfg Config) (*Result, error) {
 	fab := clmpi.New(world, clmpi.Options{})
 	cpn := p.Cells / cfg.Nodes // cells per node
 	cellB := p.cellCoeffBytes()
-	pairs := newPairTable(p.Bins)
-
-	res := &Result{MassPerStep: make([]float64, p.Steps)}
+	newContext := cl.NewTimingContext
+	res := &Result{}
+	var pairs *pairTable
 	if cfg.Verify {
+		newContext = cl.NewContext
+		pairs = newPairTable(p.Bins)
+		res.MassPerStep = make([]float64, p.Steps)
 		res.Final = make([][]float64, p.Cells)
 	}
 	var firstErr error
@@ -90,32 +99,38 @@ func Run(cfg Config) (*Result, error) {
 
 	world.LaunchRanks("nano", func(hp *sim.Proc, ep *mpi.Endpoint) {
 		me := ep.Rank()
-		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("nano%d", me))
+		ctx := newContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("nano%d", me))
 		rt := fab.Attach(ctx, ep)
 		q := ctx.NewQueue(fmt.Sprintf("nano.q%d", me))
 
-		// Every rank owns cells [me*cpn, (me+1)*cpn). The master keeps
-		// the scalar fields and all coefficient construction.
-		m := newModel(p, pairs)
-		myCells := make([][]float64, cpn)
-		for i := range myCells {
-			myCells[i] = m.state[me*cpn+i].n
-		}
 		coefBuf, err := ctx.CreateBuffer("coeffs", int64(cpn)*cellB)
 		if err != nil {
 			fail(err)
 			return
 		}
-		mySrc := make([]float64, cpn)
 		kernel := &cl.Kernel{
 			Name:  "coagulation",
 			FLOPs: func([]any) float64 { return p.coagFLOPsPerCell() * float64(cpn) },
-			Work: func([]any) error {
+		}
+		// Every rank owns cells [me*cpn, (me+1)*cpn). The master keeps
+		// the scalar fields and all coefficient construction. A
+		// timing-only run has no model: m, myCells and mySrc stay nil.
+		var m *model
+		var myCells [][]float64
+		var mySrc []float64
+		if cfg.Verify {
+			m = newModel(p, pairs)
+			myCells = make([][]float64, cpn)
+			for i := range myCells {
+				myCells[i] = m.state[me*cpn+i].n
+			}
+			mySrc = make([]float64, cpn)
+			kernel.Work = func([]any) error {
 				for i := 0; i < cpn; i++ {
 					coagulateCell(p, myCells[i], coefBuf.Bytes()[int64(i)*cellB:], mySrc[i])
 				}
 				return nil
-			},
+			}
 		}
 
 		if me == 0 {
@@ -153,16 +168,16 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 	cellB := p.cellCoeffBytes()
 	nodes := cfg.Nodes
 	cpu := ep.Node().Sys.CPU
+	ctx := q.Context()
+	numerics := !ctx.TimingOnly()
 	// Wire buffers for each worker's slice, reused across steps.
 	coeffWire := make([][]byte, nodes)
 	srcWire := make([][]byte, nodes)
-	for r := 1; r < nodes; r++ {
-		coeffWire[r] = make([]byte, int64(cpn)*cellB)
-		srcWire[r] = make([]byte, cpn*8)
-	}
 	summaries := make([][]byte, nodes)
 	for r := 1; r < nodes; r++ {
-		summaries[r] = make([]byte, cpn*8)
+		coeffWire[r] = ctx.HostBuffer(int(int64(cpn) * cellB))
+		srcWire[r] = ctx.HostBuffer(cpn * 8)
+		summaries[r] = ctx.HostBuffer(cpn * 8)
 	}
 
 	start := hp.Now()
@@ -171,12 +186,15 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 		// thread (§V-D); the cost model charges the modelled work, the
 		// real computation constructs this step's sources/coefficients.
 		t0 := hp.Now()
-		src := m.advanceScalars(step)
-		for r := 1; r < nodes; r++ {
-			for i := 0; i < cpn; i++ {
-				c := r*cpn + i
-				m.buildCoeffs(c, coeffWire[r][int64(i)*cellB:])
-				binary.LittleEndian.PutUint64(srcWire[r][i*8:], math.Float64bits(src[c]))
+		var src []float64
+		if numerics {
+			src = m.advanceScalars(step)
+			for r := 1; r < nodes; r++ {
+				for i := 0; i < cpn; i++ {
+					c := r*cpn + i
+					m.buildCoeffs(c, coeffWire[r][int64(i)*cellB:])
+					binary.LittleEndian.PutUint64(srcWire[r][i*8:], math.Float64bits(src[c]))
+				}
 			}
 		}
 		// seconds = FLOPs / (GFLOPS·1e9)  →  nanoseconds = FLOPs / GFLOPS.
@@ -202,9 +220,11 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 			reqs = append(reqs, sreq, s2)
 		}
 		// The master's own cells: local coefficient upload plus kernel.
-		for i := 0; i < cpn; i++ {
-			m.buildCoeffs(i, coefBuf.Bytes()[int64(i)*cellB:])
-			mySrc[i] = src[i]
+		if numerics {
+			for i := 0; i < cpn; i++ {
+				m.buildCoeffs(i, coefBuf.Bytes()[int64(i)*cellB:])
+				mySrc[i] = src[i]
+			}
 		}
 		// Charge the local H2D for the master's slice.
 		if _, err := q.Enqueue("h2d-own", nil, func(wp *sim.Proc) error {
@@ -224,18 +244,24 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 		}
 		// Gather the per-cell mass summaries.
 		total := 0.0
-		for i := 0; i < cpn; i++ {
-			total += mass(m.state[i].n)
+		if numerics {
+			for i := 0; i < cpn; i++ {
+				total += mass(m.state[i].n)
+			}
 		}
 		for r := 1; r < nodes; r++ {
 			if _, err := ep.Recv(hp, summaries[r], r, tagSummary, mpi.Bytes, comm); err != nil {
 				return err
 			}
-			for i := 0; i < cpn; i++ {
-				total += math.Float64frombits(binary.LittleEndian.Uint64(summaries[r][i*8:]))
+			if numerics {
+				for i := 0; i < cpn; i++ {
+					total += math.Float64frombits(binary.LittleEndian.Uint64(summaries[r][i*8:]))
+				}
 			}
 		}
-		res.MassPerStep[step] = total
+		if numerics {
+			res.MassPerStep[step] = total
+		}
 		res.DistCompute += hp.Now().Sub(t1)
 	}
 	res.Elapsed = hp.Now().Sub(start)
@@ -248,19 +274,25 @@ func runWorker(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 
 	cellB := p.cellCoeffBytes()
 	wireB := int64(cpn) * cellB
-	srcWire := make([]byte, cpn*8)
-	summary := make([]byte, cpn*8)
+	ctx := q.Context()
+	numerics := !ctx.TimingOnly()
+	srcWire := ctx.HostBuffer(cpn * 8)
+	summary := ctx.HostBuffer(cpn * 8)
+	defer bytepool.Put(srcWire)
+	defer bytepool.Put(summary)
 	var hostCoef []byte // baseline staging: pooled, only the Baseline path needs it
 	if impl == Baseline {
-		hostCoef = bytepool.Get(int(wireB))
+		hostCoef = ctx.HostBuffer(int(wireB))
 		defer bytepool.Put(hostCoef)
 	}
 	for step := 0; step < p.Steps; step++ {
 		if _, err := ep.Recv(hp, srcWire, 0, tagSource, mpi.Bytes, comm); err != nil {
 			return err
 		}
-		for i := 0; i < cpn; i++ {
-			mySrc[i] = math.Float64frombits(binary.LittleEndian.Uint64(srcWire[i*8:]))
+		if numerics {
+			for i := 0; i < cpn; i++ {
+				mySrc[i] = math.Float64frombits(binary.LittleEndian.Uint64(srcWire[i*8:]))
+			}
 		}
 		switch impl {
 		case Baseline:
@@ -291,8 +323,10 @@ func runWorker(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 			return err
 		}
 		// Report per-cell masses for the global bookkeeping.
-		for i := 0; i < cpn; i++ {
-			binary.LittleEndian.PutUint64(summary[i*8:], math.Float64bits(mass(myCells[i])))
+		if numerics {
+			for i := 0; i < cpn; i++ {
+				binary.LittleEndian.PutUint64(summary[i*8:], math.Float64bits(mass(myCells[i])))
+			}
 		}
 		if err := ep.Send(hp, summary, 0, tagSummary, mpi.Bytes, comm); err != nil {
 			return err

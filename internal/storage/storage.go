@@ -1,6 +1,7 @@
 // Package storage models per-node local storage: a disk with bandwidth and
 // positioning cost, plus a real in-memory filesystem so written data can be
-// read back and verified.
+// read back and verified. Files written from phantom (timing-only) buffers
+// keep only their length; see grow.
 //
 // It exists for the clMPI paper's future-work direction (§VI): "not only
 // MPI peer-to-peer communications but also other time-consuming tasks such
@@ -15,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -67,13 +69,25 @@ func (d *Disk) WriteAt(p *sim.Proc, path string, offset int64, data []byte) erro
 	f := d.fs[path]
 	need := offset + int64(len(data))
 	if int64(len(f)) < need {
-		grown := make([]byte, need)
-		copy(grown, f)
+		grown := grow(need, data)
+		bytepool.Copy(grown, f)
 		f = grown
 	}
-	copy(f[offset:], data)
+	bytepool.Copy(f[offset:], data)
 	d.fs[path] = f
 	return nil
+}
+
+// grow allocates a file image of n bytes in the storage class of the data
+// being written. A file written from phantom buffers (a timing-only run) is
+// phantom too: the disk keeps its length, which is all the cost model
+// reads, and no bytes. Mixing phantom and backed writes in one file panics
+// in bytepool.Copy, like any other mixed copy.
+func grow(n int64, data []byte) []byte {
+	if bytepool.IsPhantom(data) {
+		return bytepool.Phantom(int(n))
+	}
+	return make([]byte, n)
 }
 
 // ReadAt reads len(buf) bytes from the file at the byte offset.
@@ -86,7 +100,7 @@ func (d *Disk) ReadAt(p *sim.Proc, path string, offset int64, buf []byte) error 
 		return fmt.Errorf("%w: [%d,%d) of %q (%d bytes)", ErrBadRange, offset, offset+int64(len(buf)), path, len(f))
 	}
 	d.link.Transfer(p, int64(len(buf)), d.seek)
-	copy(buf, f[offset:])
+	bytepool.Copy(buf, f[offset:])
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -180,5 +181,51 @@ func TestPropOverwriteSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPhantomFiles: a file written from phantom buffers keeps its length
+// and costs the same disk time as a backed write, but holds no bytes.
+// Reading it into a backed buffer would invent data, so it panics.
+func TestPhantomFiles(t *testing.T) {
+	e := sim.NewEngine()
+	d := disk(e)
+	const n = 1 << 20
+	ph := bytepool.Phantom(3 * n)
+	var tookW, tookR time.Duration
+	var mixed any
+	e.Spawn("io", func(p *sim.Proc) {
+		t0 := p.Now()
+		if err := d.WriteAt(p, "ckpt", 0, ph[7:7+n]); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := d.WriteAt(p, "ckpt", n, ph[n:2*n]); err != nil {
+			t.Errorf("extending write: %v", err)
+		}
+		tookW = p.Now().Sub(t0)
+		t1 := p.Now()
+		if err := d.ReadAt(p, "ckpt", 0, ph[1:2*n+1]); err != nil {
+			t.Errorf("read: %v", err)
+		}
+		tookR = p.Now().Sub(t1)
+		func() {
+			defer func() { mixed = recover() }()
+			d.ReadAt(p, "ckpt", 0, make([]byte, 16))
+		}()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if size, err := d.Size("ckpt"); err != nil || size != 2*n {
+		t.Fatalf("phantom file size %d, %v; want %d", size, err, 2*n)
+	}
+	if want := 2 * d.TransferTime(n); tookW != want {
+		t.Errorf("phantom writes took %v, backed model %v", tookW, want)
+	}
+	if want := d.TransferTime(2 * n); tookR != want {
+		t.Errorf("phantom read took %v, backed model %v", tookR, want)
+	}
+	if mixed == nil {
+		t.Error("reading a phantom file into a backed buffer did not panic")
 	}
 }
